@@ -100,22 +100,17 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
   unsigned N = std::min<size_t>(exec::resolveThreads(PsCfg.NumThreads),
                                 Lib.size());
   if (N > 1 && !exec::ThreadPool::insideWorker()) {
-    std::vector<std::unique_ptr<obs::Telemetry>> WTelems;
+    obs::WorkerTelemetry WTelems(Telem, N);
     std::vector<PsConfig> WCfgs(N, PsCfg);
-    if (Telem)
-      for (unsigned W = 0; W != N; ++W) {
-        WTelems.push_back(std::make_unique<obs::Telemetry>());
-        WCfgs[W].Telem = WTelems.back().get();
-      }
+    for (unsigned W = 0; W != N; ++W)
+      WCfgs[W].Telem = WTelems[W];
     exec::parallelFor(
         N, Lib.size(),
         [&](size_t I, unsigned W) {
           CtxRecords[I] = checkContext(Lib[I], Src, Tgt, WCfgs[W]);
         },
         PsCfg.Guard ? &PsCfg.Guard->stopFlag() : nullptr);
-    if (Telem)
-      for (const std::unique_ptr<obs::Telemetry> &WT : WTelems)
-        Telem->mergeCounters(WT->Counters);
+    WTelems.fold();
   } else {
     for (size_t I = 0; I != Lib.size(); ++I) {
       obs::ScopedTimer CtxTimer(Timers, Lib[I].Name);

@@ -270,9 +270,8 @@ AtlasEntry atlas::decideTemplate(const AtlasTemplate &T,
   std::unique_ptr<Program> TgtP = buildTemplateProgram(T.Tgt, L);
 
   memo::MemoContext *MC = Opts.Memo;
-  bool UseCache = MC && MC->options().Cache;
   memo::Fp128 Key;
-  if (UseCache) {
+  if (MC) {
     Key = verdictKey(*SrcP, *TgtP, Opts);
     if (std::shared_ptr<const AtlasVerdictRec> Hit =
             MC->lookupAs<AtlasVerdictRec>(
@@ -302,7 +301,7 @@ AtlasEntry atlas::decideTemplate(const AtlasTemplate &T,
   classify(E);
 
   // Guard-truncated verdicts are timing-dependent; never cache them.
-  if (UseCache && !(E.Bounded && Opts.Guard)) {
+  if (MC && !(E.Bounded && Opts.Guard)) {
     auto Rec2 = std::make_shared<AtlasVerdictRec>();
     Rec2->SeqSimple = E.SeqSimple;
     Rec2->SeqAdvanced = E.SeqAdvanced;
@@ -325,24 +324,17 @@ AtlasResult atlas::buildAtlas(const AtlasOptions &Opts) {
   unsigned N = std::min<size_t>(exec::resolveThreads(Opts.NumThreads),
                                 Templates.size());
   if (N > 1 && !exec::ThreadPool::insideWorker()) {
-    // Worker-private telemetry, merged in template order afterwards (the
-    // registries are not safe for concurrent writers; see Harness.cpp).
-    std::vector<std::unique_ptr<obs::Telemetry>> WTelems;
+    obs::WorkerTelemetry WTelems(Opts.Telem, N);
     std::vector<AtlasOptions> WOpts(N, Opts);
-    if (Opts.Telem)
-      for (unsigned W = 0; W != N; ++W) {
-        WTelems.push_back(std::make_unique<obs::Telemetry>());
-        WOpts[W].Telem = WTelems.back().get();
-      }
+    for (unsigned W = 0; W != N; ++W)
+      WOpts[W].Telem = WTelems[W];
     exec::parallelFor(
         N, Templates.size(),
         [&](size_t I, unsigned W) {
           R.Entries[I] = decideTemplate(Templates[I], WOpts[W]);
         },
         Opts.Guard ? &Opts.Guard->stopFlag() : nullptr);
-    if (Opts.Telem)
-      for (const std::unique_ptr<obs::Telemetry> &WT : WTelems)
-        Opts.Telem->mergeCounters(WT->Counters);
+    WTelems.fold();
   } else {
     for (size_t I = 0; I != Templates.size(); ++I)
       R.Entries[I] = decideTemplate(Templates[I], Opts);

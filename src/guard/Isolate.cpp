@@ -194,6 +194,10 @@ IsolateResult waitAndClassify(pid_t Pid, const IsolateLimits &Limits,
   int WStatus = 0;
   bool TimedOut = false;
   bool NeedPoll = Limits.WallMs != 0 || ReadFd >= 0;
+  // Reap probes without a pipe to wait on back off from 50 µs to 2 ms, so
+  // a child that exits right after closing its output is reaped at once
+  // while a long-running one costs few wakeups.
+  long ProbeNs = 50 * 1000;
   for (;;) {
     pid_t Got = wait4(Pid, &WStatus, NeedPoll ? WNOHANG : 0, &RU);
     if (Got == Pid)
@@ -223,8 +227,9 @@ IsolateResult waitAndClassify(pid_t Pid, const IsolateLimits &Limits,
         NeedPoll = Limits.WallMs != 0;
       }
     } else {
-      struct timespec TS = {0, 2 * 1000 * 1000}; // 2ms poll
+      struct timespec TS = {0, ProbeNs};
       nanosleep(&TS, nullptr);
+      ProbeNs = std::min(2 * ProbeNs, 2L * 1000 * 1000);
     }
   }
 

@@ -12,8 +12,7 @@
 using namespace pseq;
 using namespace pseq::memo;
 
-MemoContext::MemoContext(const Options &O)
-    : Opts(O), Shards(new Shard[NumTables * ShardsPerTable]) {}
+MemoContext::MemoContext() : Shards(new Shard[NumTables * ShardsPerTable]) {}
 
 const MemoContext::Shard &MemoContext::shardFor(Table T,
                                                 const Fp128 &Key) const {
@@ -40,7 +39,7 @@ MemoContext::insert(Table T, const Fp128 &Key,
   auto It = S.Map.find(Key);
   if (It != S.Map.end())
     return It->second; // first writer wins
-  if (Size.load(std::memory_order_relaxed) >= Opts.MaxEntriesPerTable)
+  if (Size.load(std::memory_order_relaxed) >= MaxEntriesPerTable)
     return nullptr; // table full; caller keeps its local value
   S.Map.emplace(Key, Value);
   Size.fetch_add(1, std::memory_order_relaxed);

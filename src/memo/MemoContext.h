@@ -34,7 +34,7 @@
 ///                    (memo/Snapshot.h) and warm across server restarts.
 ///  * SymVerdicts   — symbolic-backend SymResult values, keyed by
 ///                    (source/target program fps, tids, domain, universe,
-///                    budgets, solver name, config salt); see sym/SymEngine.h.
+///                    budgets, config salt); see sym/SymEngine.h.
 ///
 /// Every key-building function mixes in its config's `ConfigSalt`, which
 /// consumers (the optimizer pipeline, the atlas) derive from the active
@@ -65,24 +65,15 @@ namespace memo {
 
 class MemoContext {
 public:
-  struct Options {
-    /// Enables the fingerprint caches (suffix summaries, behavior sets).
-    bool Cache = true;
-    /// Enables sleep-set / independence pruning in the explorers.
-    bool Prune = true;
-    /// Per-table entry cap; inserts beyond it are dropped (lookups still
-    /// hit existing entries). Bounds cross-run memory growth.
-    size_t MaxEntriesPerTable = 1u << 22;
-  };
-
   enum class Table : unsigned { SeqSuffix = 0, PsBehaviors = 1,
                                 AtlasVerdicts = 2, ServeVerdicts = 3,
                                 SymVerdicts = 4 };
 
-  MemoContext() : MemoContext(Options()) {}
-  explicit MemoContext(const Options &Opts);
+  /// Per-table entry cap; inserts beyond it are dropped (lookups still
+  /// hit existing entries). Bounds cross-run memory growth.
+  static constexpr size_t MaxEntriesPerTable = size_t(1) << 22;
 
-  const Options &options() const { return Opts; }
+  MemoContext();
 
   /// \returns the stored value for \p Key, or null. Does NOT touch the
   /// hit/miss stats — call sites count a hit/miss themselves so that
@@ -163,7 +154,6 @@ private:
 
   const Shard &shardFor(Table T, const Fp128 &Key) const;
 
-  Options Opts;
   std::unique_ptr<Shard[]> Shards; // NumTables * ShardsPerTable
   std::atomic<uint64_t> Sizes[NumTables] = {};
   std::atomic<uint64_t> Hits{0}, Misses{0}, Pruned{0};

@@ -22,7 +22,9 @@
 #include "obs/Timer.h"
 #include "obs/TraceSink.h"
 
+#include <memory>
 #include <mutex>
+#include <vector>
 
 namespace pseq::obs {
 
@@ -33,16 +35,13 @@ struct Telemetry {
   /// Borrowed, not owned; null means "no tracing". Prefer tracing() +
   /// trace() over touching this directly.
   TraceSink *Sink = nullptr;
-  /// Borrowed, not owned; null means "no span recording". Engines hand
-  /// the same recorder to every worker arena (lanes are per-thread, so
-  /// sharing is free); sites open spans with obs::ScopedSpan.
+  /// Borrowed, not owned; null means "no span recording". Pooled engines
+  /// hand it to every worker through WorkerTelemetry; sites open spans
+  /// with obs::ScopedSpan.
   SpanRecorder *Spans = nullptr;
 
-  /// Folds a worker arena's counter registry into this one (counters add,
-  /// gauges max). The parallel engines give every pool worker a private
-  /// Telemetry and fold the arenas back through this after the join; the
-  /// lock makes concurrent folds safe. Timers and traces stay
-  /// orchestrator-only — they are ordered artifacts, not tallies.
+  /// Folds a worker registry into this one (counters add, gauges max);
+  /// the lock makes concurrent folds safe. See WorkerTelemetry.
   void mergeCounters(const Stats &S) {
     std::lock_guard<std::mutex> L(MergeMu);
     Counters.merge(S);
@@ -68,6 +67,41 @@ struct Telemetry {
 
 private:
   std::mutex MergeMu;
+};
+
+/// The telemetry of one pooled fan-out. With a parent attached, every
+/// worker gets a private counter registry (registries are not safe for
+/// concurrent writers) that shares the parent's span recorder (its lanes
+/// are per-thread, so sharing is free); fold() adds the registries back
+/// into the parent after the join. Without a parent every worker handle is
+/// null. The timer tree and the trace sink stay with the parent: they are
+/// ordered, orchestrator-only artifacts, not tallies.
+class WorkerTelemetry {
+public:
+  WorkerTelemetry(Telemetry *Parent, unsigned NumWorkers) : Parent(Parent) {
+    if (!Parent)
+      return;
+    for (unsigned W = 0; W != NumWorkers; ++W) {
+      Workers.push_back(std::make_unique<obs::Telemetry>());
+      Workers.back()->Spans = Parent->Spans;
+    }
+  }
+
+  /// Worker \p W's handle; null when the parent is.
+  Telemetry *operator[](unsigned W) const {
+    return Parent ? Workers[W].get() : nullptr;
+  }
+
+  /// Adds every worker registry into the parent's. Call once, after the
+  /// fan-out joined.
+  void fold() {
+    for (const std::unique_ptr<Telemetry> &W : Workers)
+      Parent->mergeCounters(W->Counters);
+  }
+
+private:
+  Telemetry *Parent;
+  std::vector<std::unique_ptr<Telemetry>> Workers;
 };
 
 } // namespace pseq::obs

@@ -139,28 +139,23 @@ ValidationResult pseq::validateTransform(const Program &Src,
 
   // (pass, thread) checks are independent; with several program threads and
   // a multi-threaded config they fan out across the pool against per-worker
-  // configs (private telemetry arenas, merged after the join). Records fold
-  // in thread order through the first failure, so the verdict and
-  // counterexample match the sequential loop for every worker count.
+  // configs (obs::WorkerTelemetry registries, folded after the join).
+  // Records fold in thread order through the first failure, so the verdict
+  // and counterexample match the inline loop for every worker count.
   std::vector<ThreadRecord> Records(NumT);
   unsigned N = std::min(exec::resolveThreads(Cfg.NumThreads), NumT);
   if (N > 1 && !exec::ThreadPool::insideWorker()) {
-    std::vector<std::unique_ptr<obs::Telemetry>> WTelems;
+    obs::WorkerTelemetry WTelems(Telem, N);
     std::vector<SeqConfig> WCfgs(N, Cfg);
-    if (Telem)
-      for (unsigned W = 0; W != N; ++W) {
-        WTelems.push_back(std::make_unique<obs::Telemetry>());
-        WCfgs[W].Telem = WTelems.back().get();
-      }
+    for (unsigned W = 0; W != N; ++W)
+      WCfgs[W].Telem = WTelems[W];
     exec::parallelFor(
         N, NumT,
         [&](size_t T, unsigned W) {
           checkThread(static_cast<unsigned>(T), WCfgs[W], Records[T]);
         },
         Guard ? &Guard->stopFlag() : nullptr);
-    if (Telem)
-      for (const std::unique_ptr<obs::Telemetry> &WT : WTelems)
-        Telem->mergeCounters(WT->Counters);
+    WTelems.fold();
   } else {
     for (unsigned T = 0; T != NumT; ++T) {
       if (Guard && Guard->checkpoint() != TruncationCause::None)

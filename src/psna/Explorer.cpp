@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_set>
 
@@ -133,9 +134,9 @@ memo::Fp128 psStateFingerprint(const PsMachineState &S) {
 }
 
 /// Static per-thread access sets feeding the sleep-set conflict predicate;
-/// On only when a MemoContext with pruning is attached and the run shape
-/// supports the independence argument (normalized states, mask-sized
-/// thread count, more than one thread to commute).
+/// On only when a MemoContext is attached and the run shape supports the
+/// independence argument (normalized states, mask-sized thread count, more
+/// than one thread to commute).
 struct PruneInfo {
   bool On = false;
   std::vector<LocSet> Writable; ///< NaWritten ∪ AtomicAccessed (= the
@@ -146,8 +147,8 @@ struct PruneInfo {
 
 PruneInfo makePruneInfo(const Program &P, const PsConfig &Cfg) {
   PruneInfo PI;
-  if (!Cfg.Memo || !Cfg.Memo->options().Prune || !Cfg.Normalize ||
-      P.numThreads() < 2 || P.numThreads() > 32)
+  if (!Cfg.Memo || !Cfg.Normalize || P.numThreads() < 2 ||
+      P.numThreads() > 32)
     return PI;
   PI.On = true;
   for (unsigned T = 0, E = P.numThreads(); T != E; ++T) {
@@ -214,7 +215,7 @@ struct WorkItem {
 };
 
 /// One frontier state's successors, concatenated in thread order, with
-/// the per-thread counts the explorers tally. With pruning on, SuccSleep
+/// the per-thread counts the explorer tallies. With pruning on, SuccSleep
 /// carries each successor's sleep mask and PrunedSkips counts the
 /// thread-expansions the sleep set suppressed.
 struct PsExpansion {
@@ -223,14 +224,14 @@ struct PsExpansion {
   std::vector<uint32_t> PerThread;
   uint32_t PrunedSkips = 0;
   /// Machine-counter deltas for this expansion (racy transitions enabled,
-  /// NAMsg markers emitted), merged by the explorers in pop order so the
+  /// NAMsg markers emitted), merged by the explorer in pop order so the
   /// totals are deterministic for every worker count.
   uint64_t RaceSteps = 0;
   uint64_t NaMarkers = 0;
 };
 
-/// Expands \p S under sleep mask \p Sleep — a pure function of its inputs,
-/// so the sequential loop and the parallel workers compute byte-identical
+/// Expands \p S under sleep mask \p Sleep into the (reused) slot \p E — a
+/// pure function of its inputs, so every worker computes byte-identical
 /// expansions. Sleep-set maintenance is the classic scheme at thread
 /// granularity: expanding threads in index order, the successor taken via
 /// thread t puts to sleep every earlier-expanded or already-sleeping
@@ -239,7 +240,10 @@ struct PsExpansion {
 void expandState(const Program &P, const PsMachine &M, const PruneInfo &PI,
                  const PsMachineState &S, uint32_t Sleep, PsExpansion &E) {
   unsigned NT = static_cast<unsigned>(S.Threads.size());
+  E.Succs.clear();
+  E.SuccSleep.clear();
   E.PerThread.assign(NT, 0);
+  E.PrunedSkips = 0;
   uint64_t RaceBase = M.raceSteps(), MarkerBase = M.naMarkers();
   std::vector<memo::Footprint> Fp;
   if (PI.On) {
@@ -284,8 +288,27 @@ uint64_t nowMonotonicNs() {
           .count());
 }
 
-PsBehaviorSet explorePsnaSequential(const Program &P, const PsConfig &Cfg) {
-  PsMachine M(P, Cfg);
+/// The PS^na exploration loop: breadth-first over normalized states,
+/// level-synchronous across \p N workers. Each round expands a batch of
+/// frontier states across the pool — the whole frontier with several
+/// workers, the front state with one — then merges the expansions *in pop
+/// order*, with the state cap re-checked before each merged pop. The
+/// Visited/Work evolution is therefore one FIFO evolution for every worker
+/// count: behaviors, insertion order, StatesExplored, and the truncation
+/// cause match, even mid-level truncation. (A truncating round may have
+/// expanded frontier states that are never popped; their results are
+/// discarded, costing only wasted work, and their certification searches
+/// cannot change any verdict because every search carries its own private
+/// node budget.)
+PsBehaviorSet explore(const Program &P, const PsConfig &Cfg, unsigned N) {
+  obs::Telemetry *Telem = Cfg.Telem;
+  obs::WorkerTelemetry WTelems(Telem, N);
+  std::vector<std::unique_ptr<PsMachine>> Machines;
+  for (unsigned W = 0; W != N; ++W) {
+    PsConfig WCfg = Cfg;
+    WCfg.Telem = WTelems[W];
+    Machines.push_back(std::make_unique<PsMachine>(P, WCfg));
+  }
   PsBehaviorSet Result;
   PruneInfo PI = makePruneInfo(P, Cfg);
   // With pruning on, dedup moves to the fingerprint table (which also
@@ -298,7 +321,6 @@ PsBehaviorSet explorePsnaSequential(const Program &P, const PsConfig &Cfg) {
   std::unordered_set<PsBehavior, BehaviorHash> Behaviors;
   std::deque<WorkItem> Work;
 
-  obs::Telemetry *Telem = Cfg.Telem;
   obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "psna.explore");
   obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "psna.explore");
   obs::ScopedTally Tally(Telem ? &Telem->Counters : nullptr);
@@ -313,7 +335,7 @@ PsBehaviorSet explorePsnaSequential(const Program &P, const PsConfig &Cfg) {
   size_t MaxFrontier = 1;
   ++Runs;
 
-  PsMachineState Init = M.initialState();
+  PsMachineState Init = Machines[0]->initialState();
   Init.normalize();
   if (PI.On)
     PrunedVisited.insertOrMerge(psStateFingerprint(Init), 0);
@@ -329,258 +351,62 @@ PsBehaviorSet explorePsnaSequential(const Program &P, const PsConfig &Cfg) {
   };
 
   guard::ResourceGuard *G = Cfg.Guard;
-  while (!Work.empty()) {
-    if (visitedCount() > Cfg.MaxStates) {
-      noteTruncation(Result.Cause, TruncationCause::StateBudget);
-      break;
-    }
-    if (G) {
-      // One checkpoint per pop, exactly where the state cap is checked.
-      TruncationCause C = G->checkpoint();
-      if (C != TruncationCause::None) {
-        noteTruncation(Result.Cause, C);
-        break;
-      }
-    }
-    MaxFrontier = std::max(MaxFrontier, Work.size());
-    if (Telem)
-      // Frontier sizes are a pure function of the BFS — the same sample
-      // sequence appears at the parallel merge loop's pops, keeping the
-      // histogram bit-identical for every worker count.
-      Telem->Counters.recordHist("psna.explore.frontier", Work.size());
-    WorkItem Item = std::move(Work.front());
-    Work.pop_front();
-    ++Expanded;
+  auto stateCapHit = [&] {
+    if (visitedCount() <= Cfg.MaxStates)
+      return false;
+    noteTruncation(Result.Cause, TruncationCause::StateBudget);
+    return true;
+  };
 
-    if (Item.S.Bottom) {
-      record(PsBehavior::ub());
-      continue;
-    }
-    if (Item.S.allDone()) {
-      PsBehavior B;
-      for (const PsThread &T : Item.S.Threads)
-        B.Rets.push_back(T.Prog.retVal());
-      B.Outs = Item.S.Outs;
-      record(std::move(B));
-      continue;
-    }
-    PsExpansion E;
-    uint64_t StepT0 = Telem ? nowMonotonicNs() : 0;
-    expandState(P, M, PI, Item.S, Item.Sleep, E);
-    if (Telem)
-      Telem->Counters.recordHist("psna.step.us",
-                                 (nowMonotonicNs() - StepT0) / 1000);
-    for (size_t Tid = 0; Tid != E.PerThread.size(); ++Tid)
-      ThreadSteps[Tid] += E.PerThread[Tid];
-    PrunedSkips += E.PrunedSkips;
-    RaceSteps += E.RaceSteps;
-    NaMarkers += E.NaMarkers;
-    for (size_t X = 0; X != E.Succs.size(); ++X) {
-      PsMachineState &Next = E.Succs[X];
-      if (!PI.On) {
-        if (Visited.insert(Next).second) {
-          if (G)
-            G->charge(approxStateBytes(Next));
-          Work.push_back(WorkItem{std::move(Next), 0});
-        } else {
-          ++DedupHits;
-        }
-        continue;
-      }
-      memo::VisitedSet::Outcome O =
-          PrunedVisited.insertOrMerge(psStateFingerprint(Next), E.SuccSleep[X]);
-      if (O.Inserted) {
-        if (G)
-          G->charge(approxStateBytes(Next));
-        Work.push_back(WorkItem{std::move(Next), O.Mask});
-      } else if (O.Shrunk) {
-        // State-caching correction: a revisit under a strictly smaller
-        // sleep set re-enqueues the state so the newly-awake threads get
-        // expanded (masks only shrink, so this terminates).
-        ++Requeues;
-        Work.push_back(WorkItem{std::move(Next), O.Mask});
-      } else {
-        ++DedupHits;
-      }
-    }
-  }
-  if (G && G->stopped())
-    noteTruncation(Result.Cause, G->cause());
-
-  if (M.certBudgetHit())
-    noteTruncation(Result.Cause, TruncationCause::CertBudget);
-  Result.StatesExplored = static_cast<unsigned>(visitedCount());
-  Result.RaceSteps = RaceSteps;
-  Result.NaMarkers = NaMarkers;
-  if (Telem) {
-    Telem->Counters.add("psna.explore.race_steps", RaceSteps);
-    Telem->Counters.add("psna.na_markers", NaMarkers);
-  }
-  if (PI.On) {
-    Cfg.Memo->notePruned(PrunedSkips);
-    if (Telem) {
-      Telem->Counters.add("memo.pruned_states", PrunedSkips);
-      Telem->Counters.add("psna.explore.sleep_requeues", Requeues);
-    }
-  }
-
-  if (Telem) {
-    Telem->Counters.maxGauge("psna.explore.max_frontier",
-                             static_cast<double>(MaxFrontier));
-    Telem->Counters.recordHist("psna.explore.behavior_set",
-                               Result.All.size());
-    for (size_t Tid = 0; Tid != ThreadSteps.size(); ++Tid)
-      Telem->Counters.add("psna.explore.thread" + std::to_string(Tid) +
-                              ".steps",
-                          ThreadSteps[Tid]);
-    if (Telem->tracing())
-      Telem->trace("psna.explore",
-                   {{"states", uint64_t(Result.StatesExplored)},
-                    {"behaviors", uint64_t(Result.All.size())},
-                    {"dedup_hits", DedupHits},
-                    {"cause", truncationCauseName(Result.Cause)},
-                    {"ms", Timer.stop()}});
-    if (isGuardCause(Result.Cause))
-      Telem->finalSnapshot(truncationCauseName(Result.Cause));
-  }
-  return Result;
-}
-
-/// Per-worker arenas: machine copies whose telemetry (if any) is a private
-/// registry, folded into the orchestrator's after the exploration.
-struct PsArenas {
-  std::vector<std::unique_ptr<obs::Telemetry>> Telems;
-  std::vector<std::unique_ptr<PsMachine>> Machines;
-
-  PsArenas(const Program &P, const PsConfig &Cfg, unsigned N) {
-    for (unsigned W = 0; W != N; ++W) {
-      PsConfig WCfg = Cfg;
-      if (WCfg.Telem) {
-        Telems.push_back(std::make_unique<obs::Telemetry>());
-        // Workers share the orchestrator's span recorder (it is per-thread
-        // internally); counters/histograms stay private and merge below.
-        Telems.back()->Spans = Cfg.Telem->Spans;
-        WCfg.Telem = Telems.back().get();
-      }
-      Machines.push_back(std::make_unique<PsMachine>(P, WCfg));
-    }
-  }
-
-  void mergeInto(obs::Telemetry *Telem) {
-    if (!Telem)
+  // The expansion slots and the expand callable live across rounds: with
+  // one worker every round expands a single state, so no round allocates.
+  std::vector<PsExpansion> Level;
+  const std::function<void(size_t, unsigned)> Expand = [&](size_t I,
+                                                           unsigned W) {
+    // One guard checkpoint per frontier state.
+    if (G && G->checkpoint() != TruncationCause::None)
+      return; // the merge below stops at the trip
+    const WorkItem &Item = Work[I];
+    if (Item.S.Bottom || Item.S.allDone())
       return;
-    for (const std::unique_ptr<obs::Telemetry> &WT : Telems)
-      Telem->mergeCounters(WT->Counters);
-  }
-
-  bool certBudgetHit() const {
-    for (const std::unique_ptr<PsMachine> &M : Machines)
-      if (M->certBudgetHit())
-        return true;
-    return false;
-  }
-};
-
-/// Level-synchronous parallel BFS. Each round expands the whole current
-/// frontier across the pool, then merges expansions *in pop order*, with
-/// the MaxStates check re-run before each merged index exactly where the
-/// sequential loop checks it before each pop. The merged Visited/Work
-/// evolution is therefore identical to the sequential explorer's —
-/// behaviors, insertion order, StatesExplored, and the truncation cause
-/// match for every worker count, even mid-level truncation. (A truncating
-/// round expands frontier states the sequential loop never pops; their
-/// results are discarded, costing only wasted work, and their
-/// certification searches cannot change any verdict because every search
-/// carries its own private node budget.)
-PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
-                                  unsigned N) {
-  PsArenas Arenas(P, Cfg, N);
-  PsBehaviorSet Result;
-  PruneInfo PI = makePruneInfo(P, Cfg);
-  std::unordered_set<PsMachineState, StateHash> Visited;
-  memo::VisitedSet PrunedVisited(PI.On ? (size_t(1) << 16) : 64);
-  auto visitedCount = [&] {
-    return PI.On ? PrunedVisited.size() : uint64_t(Visited.size());
-  };
-  std::unordered_set<PsBehavior, BehaviorHash> Behaviors;
-  std::deque<WorkItem> Work;
-
-  obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "psna.explore");
-  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "psna.explore");
-  obs::ScopedTally Tally(Telem ? &Telem->Counters : nullptr);
-  uint64_t &Runs = Tally.slot("psna.explore.runs");
-  uint64_t &Expanded = Tally.slot("psna.explore.states_expanded");
-  uint64_t &DedupHits = Tally.slot("psna.explore.dedup_hits");
-  uint64_t &Emitted = Tally.slot("psna.explore.behaviors");
-  std::vector<uint64_t> ThreadSteps(P.numThreads(), 0);
-  uint64_t PrunedSkips = 0, Requeues = 0;
-  uint64_t RaceSteps = 0, NaMarkers = 0;
-  size_t MaxFrontier = 1;
-  ++Runs;
-
-  PsMachineState Init = Arenas.Machines[0]->initialState();
-  Init.normalize();
-  if (PI.On)
-    PrunedVisited.insertOrMerge(psStateFingerprint(Init), 0);
-  else
-    Visited.insert(Init);
-  Work.push_back(WorkItem{std::move(Init), 0});
-
-  auto record = [&](PsBehavior B) {
-    if (Behaviors.insert(B).second) {
-      ++Emitted;
-      Result.All.push_back(std::move(B));
-    }
+    // Pure function of (state, mask): all VisitedSet decisions stay in the
+    // single-threaded merge below, so results are bit-identical for every
+    // worker count, pruning on or off.
+    obs::Telemetry *WT = WTelems[W];
+    obs::ScopedSpan ExpandSpan(WT ? WT->Spans : nullptr, "psna.expand");
+    uint64_t StepT0 = WT ? nowMonotonicNs() : 0;
+    expandState(P, *Machines[W], PI, Item.S, Item.Sleep, Level[I]);
+    if (WT)
+      WT->Counters.recordHist("psna.step.us",
+                              (nowMonotonicNs() - StepT0) / 1000);
   };
 
-  guard::ResourceGuard *G = Cfg.Guard;
-  obs::SpanRecorder *SpanRec = Telem ? Telem->Spans : nullptr;
+  // The state cap is also checked before each round, so no round is
+  // expanded once the cap is exceeded.
   bool Truncated = false;
-  while (!Work.empty() && !Truncated) {
-    size_t K = Work.size();
-    std::vector<PsExpansion> Level(K);
-    obs::ScopedSpan LevelSpan(SpanRec, "psna.level");
-    exec::parallelFor(
-        N, K,
-        [&](size_t I, unsigned W) {
-          if (G && G->checkpoint() != TruncationCause::None)
-            return; // drained; the merge below stops at the trip anyway
-          const WorkItem &Item = Work[I];
-          if (Item.S.Bottom || Item.S.allDone())
-            return;
-          // Pure function of (state, mask): workers compute exactly what
-          // the sequential loop would; all VisitedSet decisions stay in
-          // the single-threaded merge below, so results are bit-identical
-          // for every worker count, pruning on or off.
-          obs::Telemetry *WT =
-              Arenas.Telems.empty() ? nullptr : Arenas.Telems[W].get();
-          obs::ScopedSpan ExpandSpan(WT ? WT->Spans : nullptr, "psna.expand");
-          uint64_t StepT0 = WT ? nowMonotonicNs() : 0;
-          expandState(P, *Arenas.Machines[W], PI, Item.S, Item.Sleep,
-                      Level[I]);
-          if (WT)
-            WT->Counters.recordHist("psna.step.us",
-                                    (nowMonotonicNs() - StepT0) / 1000);
-        },
-        G ? &G->stopFlag() : nullptr);
+  while (!Work.empty() && !Truncated && !stateCapHit()) {
+    size_t K = N == 1 ? 1 : Work.size();
+    if (Level.size() < K)
+      Level.resize(K);
+    exec::parallelFor(N, K, Expand, G ? &G->stopFlag() : nullptr);
 
     for (size_t I = 0; I != K; ++I) {
-      if (visitedCount() > Cfg.MaxStates) {
-        noteTruncation(Result.Cause, TruncationCause::StateBudget);
+      if (stateCapHit()) {
         Truncated = true;
         break;
       }
       if (G && G->stopped()) {
-        // Expansion slots past the trip may be empty or partial; merging
-        // them would make the truncated *content* depend on timing. Stop
-        // at the trip — the verdict is bounded either way.
+        // Expansion slots past the trip may be empty, partial, or stale;
+        // merging them would make the truncated *content* depend on
+        // timing. Stop at the trip — the verdict is bounded either way.
         noteTruncation(Result.Cause, G->cause());
         Truncated = true;
         break;
       }
       MaxFrontier = std::max(MaxFrontier, Work.size());
       if (Telem)
+        // Frontier sizes are a pure function of the BFS, so the histogram
+        // is bit-identical for every worker count.
         Telem->Counters.recordHist("psna.explore.frontier", Work.size());
       WorkItem Item = std::move(Work.front());
       Work.pop_front();
@@ -623,6 +449,9 @@ PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
             G->charge(approxStateBytes(Next));
           Work.push_back(WorkItem{std::move(Next), O.Mask});
         } else if (O.Shrunk) {
+          // State-caching correction: a revisit under a strictly smaller
+          // sleep set re-enqueues the state so the newly-awake threads get
+          // expanded (masks only shrink, so this terminates).
           ++Requeues;
           Work.push_back(WorkItem{std::move(Next), O.Mask});
         } else {
@@ -632,11 +461,12 @@ PsBehaviorSet explorePsnaParallel(const Program &P, const PsConfig &Cfg,
     }
   }
 
-  Arenas.mergeInto(Telem);
-  if (Arenas.certBudgetHit())
-    noteTruncation(Result.Cause, TruncationCause::CertBudget);
+  WTelems.fold();
   if (G && G->stopped())
     noteTruncation(Result.Cause, G->cause());
+  for (const std::unique_ptr<PsMachine> &M : Machines)
+    if (M->certBudgetHit())
+      noteTruncation(Result.Cause, TruncationCause::CertBudget);
   Result.StatesExplored = static_cast<unsigned>(visitedCount());
   Result.RaceSteps = RaceSteps;
   Result.NaMarkers = NaMarkers;
@@ -691,11 +521,8 @@ memo::Fp128 psExploreKey(const Program &P, const PsConfig &Cfg) {
   memo::fpMix(K, Cfg.CertNodeBudget);
   memo::fpMix(K, Cfg.MaxStates);
   memo::fpMix(K, Cfg.Normalize ? 1 : 0);
-  // Pruning changes StatesExplored (not the behaviors); keep prune-on and
-  // prune-off results distinct so both remain exact for their mode.
-  memo::fpMix(K, Cfg.Memo && Cfg.Memo->options().Prune ? 1 : 0);
-  // Ditto for lint-driven marker skipping: behaviors are identical, but
-  // StatesExplored and the race/marker tallies are not. The caller passes
+  // Lint-driven marker skipping leaves the behaviors identical, but not
+  // StatesExplored or the race/marker tallies. The caller passes
   // the *effective* config (SkipNaMarkers already resolved).
   memo::fpMix(K, Cfg.SkipNaMarkers ? 1 : 0);
   // Caller-provided partition (active pipeline / atlas configuration):
@@ -746,9 +573,8 @@ PsBehaviorSet pseq::explorePsna(const Program &P, const PsConfig &Cfg) {
   };
 
   memo::MemoContext *MC = ECfg.Memo;
-  bool UseCache = MC && MC->options().Cache;
   memo::Fp128 Key;
-  if (UseCache) {
+  if (MC) {
     Key = psExploreKey(P, ECfg);
     uint64_t ProbeT0 = ECfg.Telem ? nowMonotonicNs() : 0;
     std::shared_ptr<const PsBehaviorSet> Hit = MC->lookupAs<PsBehaviorSet>(
@@ -768,13 +594,15 @@ PsBehaviorSet pseq::explorePsna(const Program &P, const PsConfig &Cfg) {
     if (ECfg.Telem)
       ECfg.Telem->Counters.add("memo.misses", 1);
   }
-  unsigned N = exec::resolveThreads(ECfg.NumThreads);
-  PsBehaviorSet R = (N <= 1 || exec::ThreadPool::insideWorker())
-                        ? explorePsnaSequential(P, ECfg)
-                        : explorePsnaParallel(P, ECfg, N);
+  // Nested inside a pool worker the pool is taken: explore on one worker.
+  PsBehaviorSet R =
+      explore(P, ECfg,
+              exec::ThreadPool::insideWorker()
+                  ? 1
+                  : exec::resolveThreads(ECfg.NumThreads));
   // Guard causes (deadline, memory, cancellation) are timing-dependent;
   // such results must never answer for a future run.
-  if (UseCache && !isGuardCause(R.Cause))
+  if (MC && !isGuardCause(R.Cause))
     MC->insertAs<PsBehaviorSet>(memo::MemoContext::Table::PsBehaviors, Key,
                                 std::make_shared<const PsBehaviorSet>(R));
   stamp(R);

@@ -171,7 +171,7 @@ public:
   explicit DfsEnumerator(const SeqMachine &M,
                          std::atomic<uint64_t> *SharedUnique = nullptr)
       : M(M), SharedUnique(SharedUnique), Guard(M.config().Guard) {
-    if (memo::MemoContext *MC = M.config().Memo; MC && MC->options().Cache) {
+    if (memo::MemoContext *MC = M.config().Memo) {
       Memo = MC;
       MachineFp = machineFingerprint();
     }
@@ -473,35 +473,20 @@ void foldTallies(obs::Telemetry *Telem, const EnumTallies &T) {
   Telem->Counters.maxGauge("seq.enum.max_depth", T.MaxDepth);
 }
 
-/// Per-worker arenas for the parallel paths: each worker gets a machine
-/// copy whose telemetry (if any) is a private registry, folded into the
-/// orchestrator's registry after the pool joins.
-struct WorkerArenas {
-  std::vector<std::unique_ptr<obs::Telemetry>> Telems;
+/// Per-worker machine copies for the parallel paths, each reporting to its
+/// worker's private registry in \p Telems.
+std::vector<std::unique_ptr<SeqMachine>>
+workerMachines(const SeqMachine &M, const obs::WorkerTelemetry &Telems,
+               unsigned N) {
   std::vector<std::unique_ptr<SeqMachine>> Machines;
-
-  WorkerArenas(const SeqMachine &M, unsigned N) {
-    for (unsigned W = 0; W != N; ++W) {
-      SeqConfig WCfg = M.config();
-      if (WCfg.Telem) {
-        Telems.push_back(std::make_unique<obs::Telemetry>());
-        // Workers share the orchestrator's span recorder (per-thread lanes
-        // internally); counters/histograms stay private and merge below.
-        Telems.back()->Spans = WCfg.Telem->Spans;
-        WCfg.Telem = Telems.back().get();
-      }
-      Machines.push_back(
-          std::make_unique<SeqMachine>(M.program(), M.tid(), std::move(WCfg)));
-    }
+  for (unsigned W = 0; W != N; ++W) {
+    SeqConfig WCfg = M.config();
+    WCfg.Telem = Telems[W];
+    Machines.push_back(
+        std::make_unique<SeqMachine>(M.program(), M.tid(), std::move(WCfg)));
   }
-
-  void mergeInto(obs::Telemetry *Telem) {
-    if (!Telem)
-      return;
-    for (const std::unique_ptr<obs::Telemetry> &WT : Telems)
-      Telem->mergeCounters(WT->Counters);
-  }
-};
+  return Machines;
+}
 
 BehaviorSet enumerateSequential(const SeqMachine &M, const SeqState &Init,
                                 EnumTallies &Out) {
@@ -548,7 +533,9 @@ BehaviorSet enumerateParallel(const SeqMachine &M, const SeqState &Init,
   // approximately here, via a shared count of unique-per-worker emissions,
   // and exactly at merge below.
   std::atomic<uint64_t> UniqueCount{Root.tallies().Emitted};
-  WorkerArenas Arenas(M, N);
+  obs::WorkerTelemetry Telems(Cfg.Telem, N);
+  std::vector<std::unique_ptr<SeqMachine>> Machines =
+      workerMachines(M, Telems, N);
   std::vector<BehaviorSet> TaskSets(Tasks.size());
   std::vector<EnumTallies> TaskTallies(Tasks.size());
   exec::WorkDequeSet<size_t> Deques(N);
@@ -557,15 +544,14 @@ BehaviorSet enumerateParallel(const SeqMachine &M, const SeqState &Init,
   exec::ThreadPool::global().run(
       N,
       [&](unsigned W) {
-        obs::Telemetry *WT =
-            Arenas.Telems.empty() ? nullptr : Arenas.Telems[W].get();
+        obs::Telemetry *WT = Telems[W];
         while (std::optional<size_t> Idx = Deques.next(W)) {
           if (Cfg.Guard && Cfg.Guard->stopped())
             continue; // drain remaining tasks; verdict comes from the guard
           EnumTask &Tk = Tasks[*Idx];
           obs::ScopedSpan TaskSpan(WT ? WT->Spans : nullptr, "seq.task");
           uint64_t TaskT0 = WT ? nowMonotonicNs() : 0;
-          DfsEnumerator E(*Arenas.Machines[W], &UniqueCount);
+          DfsEnumerator E(*Machines[W], &UniqueCount);
           E.explore(Tk.State, std::move(Tk.Trace), Tk.StepsLeft);
           TaskSets[*Idx] = E.take();
           TaskTallies[*Idx] = E.tallies();
@@ -575,7 +561,7 @@ BehaviorSet enumerateParallel(const SeqMachine &M, const SeqState &Init,
         }
       },
       Cfg.Guard ? &Cfg.Guard->stopFlag() : nullptr);
-  Arenas.mergeInto(Cfg.Telem);
+  Telems.fold();
 
   // Phase 3 (orchestrator): merge per-task results in task order with
   // global dedup. Behaviors are emitted counters-exact: Emitted counts the
@@ -645,14 +631,16 @@ pseq::enumerateBehaviorsBatch(const SeqMachine &M,
   // Initial states fan out across the pool; each per-init enumeration runs
   // on a pool worker and therefore degrades to its sequential path, which
   // is exactly the deterministic per-init result.
-  WorkerArenas Arenas(M, N);
+  obs::WorkerTelemetry Telems(M.config().Telem, N);
+  std::vector<std::unique_ptr<SeqMachine>> Machines =
+      workerMachines(M, Telems, N);
   exec::parallelFor(
       N, Inits.size(),
       [&](size_t I, unsigned W) {
-        Out[I] = enumerateBehaviors(*Arenas.Machines[W], Inits[I]);
+        Out[I] = enumerateBehaviors(*Machines[W], Inits[I]);
       },
       M.config().Guard ? &M.config().Guard->stopFlag() : nullptr);
-  Arenas.mergeInto(M.config().Telem);
+  Telems.fold();
   if (guard::ResourceGuard *G = M.config().Guard; G && G->stopped())
     for (BehaviorSet &S : Out)
       noteTruncation(S.Cause, G->cause());

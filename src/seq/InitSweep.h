@@ -59,11 +59,12 @@ inline bool foldInitRecord(RefinementResult &Result, InitRecord &R) {
 /// 0..NumInits and folds the records in index order, stopping at the first
 /// failed index. With NumThreads > 1 (and when not already on a pool
 /// worker) indices are claimed dynamically by pool workers against
-/// per-worker machine copies — telemetry goes to private arenas, merged
-/// after the join. A monotonically shrinking first-failure bound lets
-/// workers skip indices past a known failure: the fold never reads past
-/// the smallest failed index, and no index at or below it is ever
-/// skipped, so the folded prefix matches the sequential run exactly.
+/// per-worker machine copies — telemetry goes to obs::WorkerTelemetry
+/// registries, folded after the join. A monotonically shrinking
+/// first-failure bound lets workers skip indices past a known failure: the
+/// fold never reads past the smallest failed index, and no index at or
+/// below it is ever skipped, so the folded prefix matches the sequential
+/// run exactly.
 template <typename CheckFn>
 void sweepInits(const SeqMachine &SrcM, const SeqMachine &TgtM,
                 size_t NumInits, RefinementResult &Result,
@@ -97,14 +98,11 @@ void sweepInits(const SeqMachine &SrcM, const SeqMachine &TgtM,
     return;
   }
 
-  std::vector<std::unique_ptr<obs::Telemetry>> WTelems;
+  obs::WorkerTelemetry WTelems(Cfg.Telem, N);
   std::vector<std::unique_ptr<SeqMachine>> WSrc, WTgt;
   for (unsigned W = 0; W != N; ++W) {
     SeqConfig WCfg = Cfg;
-    if (WCfg.Telem) {
-      WTelems.push_back(std::make_unique<obs::Telemetry>());
-      WCfg.Telem = WTelems.back().get();
-    }
+    WCfg.Telem = WTelems[W];
     WSrc.push_back(
         std::make_unique<SeqMachine>(SrcM.program(), SrcM.tid(), WCfg));
     WTgt.push_back(
@@ -134,9 +132,7 @@ void sweepInits(const SeqMachine &SrcM, const SeqMachine &TgtM,
       },
       G ? &G->stopFlag() : nullptr);
 
-  if (Cfg.Telem)
-    for (const std::unique_ptr<obs::Telemetry> &WT : WTelems)
-      Cfg.Telem->mergeCounters(WT->Counters);
+  WTelems.fold();
 
   if (G && G->stopped()) {
     // Indices neither failed nor bounded after a trip were skipped (or

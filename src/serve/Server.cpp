@@ -29,8 +29,7 @@ using namespace pseq;
 using namespace pseq::serve;
 
 Server::Server(ServerOptions O)
-    : Opts(std::move(O)), Cache(Opts.CacheCapBytes),
-      Memo(memo::MemoContext::Options()) {}
+    : Opts(std::move(O)), Cache(Opts.CacheCapBytes) {}
 
 Server::~Server() {
   if (ListenFd >= 0)

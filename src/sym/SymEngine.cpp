@@ -39,11 +39,10 @@
 #include "memo/MemoContext.h"
 #include "obs/Telemetry.h"
 #include "seq/AdvancedRefinement.h"
-#include "sym/SymState.h"
+#include "sym/SymSolver.h"
 
 #include <cassert>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <unordered_map>
 
@@ -160,9 +159,9 @@ class SymChecker {
 public:
   SymChecker(const Program &SrcP, unsigned SrcTid, const Program &TgtP,
              unsigned TgtTid, const SeqConfig &Cfg, const SymOptions &Opts,
-             SymSolver &Solver, SymResult &Res)
+             SymResult &Res)
       : SrcP(SrcP), TgtP(TgtP), SrcTid(SrcTid), TgtTid(TgtTid), Cfg(Cfg),
-        Opts(Opts), Solver(Solver), Res(Res),
+        Opts(Opts), Res(Res),
         SrcCode(SrcP.thread(SrcTid).Code), TgtCode(TgtP.thread(TgtTid).Code),
         NumLocs(SrcP.numLocs()), Dom(makeDomainInfo(Cfg.Domain)) {}
 
@@ -189,7 +188,6 @@ private:
   unsigned SrcTid, TgtTid;
   const SeqConfig &Cfg;
   const SymOptions &Opts;
-  SymSolver &Solver;
   SymResult &Res;
   const std::vector<Instr> &SrcCode, &TgtCode;
   unsigned NumLocs;
@@ -916,10 +914,10 @@ bool SymChecker::matchRmw(SymProdState &W, const std::vector<SymLabel> &Ls,
 // Fixpoint machinery
 //===----------------------------------------------------------------------===//
 
-/// Consults the solver on the conjunction of per-identity facts of \p W.
-/// Every refinement the engine applies over-approximates its class, so an
-/// Unsat answer means the class is genuinely infeasible and carries no
-/// obligations; Unknown degrades to feasible.
+/// Decides the conjunction of per-identity facts of \p W. Every refinement
+/// the engine applies over-approximates its class, so an unsatisfiable
+/// conjunction means the class is genuinely infeasible and carries no
+/// obligations.
 bool SymChecker::classFeasible(SymProdState &W) {
   std::vector<SymConstraint> Cs;
   std::unordered_map<uint64_t, size_t> Seen;
@@ -938,7 +936,7 @@ bool SymChecker::classFeasible(SymProdState &W) {
   if (Bottom)
     return false;
   ++Res.SolverQueries;
-  return Solver.checkSat(Cs) != SymSolver::Sat::Unsat;
+  return satisfiable(Cs);
 }
 
 /// Canonicalizes \p S and returns the id of its product node: an existing
@@ -1567,8 +1565,7 @@ void SymChecker::run() {
 //===----------------------------------------------------------------------===//
 
 Fp128 symKey(const Program &SrcP, unsigned SrcTid, const Program &TgtP,
-             unsigned TgtTid, const SeqConfig &Cfg, const SymOptions &Opts,
-             const char *SolverName) {
+             unsigned TgtTid, const SeqConfig &Cfg, const SymOptions &Opts) {
   Fp128 K = fpSeed(0x53594d52ULL); // "SYMR"
   K = fpCombine(K, memo::fingerprintProgram(SrcP));
   K = fpCombine(K, memo::fingerprintProgram(TgtP));
@@ -1585,7 +1582,6 @@ Fp128 symKey(const Program &SrcP, unsigned SrcTid, const Program &TgtP,
   fpMix(K, Opts.GameBudget);
   fpMix(K, Opts.ChainBudget);
   fpMix(K, Opts.ConfirmUnsound ? 1 : 0);
-  fpMixBytes(K, SolverName, std::strlen(SolverName));
   fpMix(K, Cfg.ConfigSalt);
   return K.sealed();
 }
@@ -1610,14 +1606,6 @@ SymResult pseq::sym::checkSymRefinement(const Program &SrcP, unsigned SrcTid,
     Opts.GameBudget = Cfg.StepBudget * 256;
   if (!Opts.ChainBudget)
     Opts.ChainBudget = Cfg.StepBudget;
-  std::unique_ptr<SymSolver> Owned;
-  SymSolver *Solver = Opts.Solver;
-  if (!Solver) {
-    Owned = makeSmtSolver();
-    if (!Owned)
-      Owned = makeBuiltinSolver();
-    Solver = Owned.get();
-  }
   auto ElapsedMs = [&] {
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - Start)
@@ -1625,7 +1613,7 @@ SymResult pseq::sym::checkSymRefinement(const Program &SrcP, unsigned SrcTid,
   };
   Fp128 Key;
   if (Cfg.Memo) {
-    Key = symKey(SrcP, SrcTid, TgtP, TgtTid, Cfg, Opts, Solver->name());
+    Key = symKey(SrcP, SrcTid, TgtP, TgtTid, Cfg, Opts);
     if (std::shared_ptr<const SymResult> Hit = Cfg.Memo->lookupAs<SymResult>(
             memo::MemoContext::Table::SymVerdicts, Key)) {
       Cfg.Memo->noteHit();
@@ -1640,7 +1628,7 @@ SymResult pseq::sym::checkSymRefinement(const Program &SrcP, unsigned SrcTid,
     Cfg.Memo->noteMiss();
   }
   SymResult Res;
-  SymChecker C(SrcP, SrcTid, TgtP, TgtTid, Cfg, Opts, *Solver, Res);
+  SymChecker C(SrcP, SrcTid, TgtP, TgtTid, Cfg, Opts, Res);
   C.run();
   if (C.Exhausted) {
     Res.Verdict = SymVerdict::Inconclusive;

@@ -35,7 +35,6 @@
 
 #include "seq/SeqMachine.h"
 #include "support/Truncation.h"
-#include "sym/SymSolver.h"
 
 #include <string>
 
@@ -53,10 +52,6 @@ struct SymOptions {
   unsigned GameBudget = 0;
   /// Step budget of one source unlabeled-chain walk (0 = StepBudget).
   unsigned ChainBudget = 0;
-  /// Path-condition solver; null = the built-in interval/congruence
-  /// procedure (an SMT binding from makeSmtSolver() may refine
-  /// feasibility answers but never soundness).
-  SymSolver *Solver = nullptr;
   /// Confirm dead roots with the bounded enumerative checker before
   /// reporting Unsound (the guarantee that symbolic negatives carry a
   /// concrete witness). Off = dead roots report Inconclusive.

@@ -1,4 +1,4 @@
-//===- sym/SymSolver.h - Pluggable path-condition solvers -------*- C++ -*-===//
+//===- sym/SymSolver.h - Path-condition decision procedure ------*- C++ -*-===//
 //
 // Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
@@ -6,24 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solver seam of the symbolic refinement backend. The engine reduces
-/// every path condition to a conjunction of per-identity domain
-/// constraints (interval × congruence × may-undef, one per symbolic
-/// value); a SymSolver decides satisfiability of such a conjunction and
-/// produces model values for witnesses.
-///
-/// Two implementations:
-///  * the built-in interval/congruence decision procedure — exact for the
-///    constraint language the engine emits (each conjunct constrains one
-///    identity, so the conjunction is satisfiable iff no conjunct is ⊥),
-///    dependency-free, and the default;
-///  * an external SMT binding (makeSmtSolver), compiled only when the
-///    PSEQ_ENABLE_SMT CMake option is ON: constraints are emitted as
-///    SMT-LIB2 text and piped to the solver binary named by the
-///    PSEQ_SMT_SOLVER environment variable. Any failure (flag off, no
-///    binary, malformed reply) degrades to Unknown and the engine falls
-///    back to the built-in answer, so enabling the flag can only refine
-///    results, never change soundness.
+/// The path-condition decision procedure of the symbolic refinement
+/// backend. The engine reduces every path condition to a conjunction of
+/// per-identity domain constraints (interval × congruence × may-undef, one
+/// per symbolic value) and decides it with the built-in interval/congruence
+/// procedure, which is exact for this constraint language: each conjunct
+/// constrains one identity, and the engine has already met repeated
+/// constraints on the same identity into one AbsDom, so the conjunction is
+/// satisfiable iff no conjunct denotes the empty set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +22,6 @@
 
 #include "sym/SymState.h"
 
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace pseq::sym {
@@ -44,39 +32,13 @@ struct SymConstraint {
   analysis::AbsDom Dom;
 };
 
-/// Decision interface for conjunctions of domain constraints.
-class SymSolver {
-public:
-  enum class Sat { Sat, Unsat, Unknown };
-
-  virtual ~SymSolver();
-
-  /// Satisfiability of the conjunction ⋀ (Cs[i].Id ∈ Cs[i].Dom).
-  virtual Sat checkSat(const std::vector<SymConstraint> &Cs) = 0;
-
-  /// Binds \p Out to a concrete defined value of \p Id under \p Cs;
-  /// false when \p Id may only be undef (or the conjunction is unsat).
-  virtual bool model(const std::vector<SymConstraint> &Cs, uint64_t Id,
-                     int64_t &Out) = 0;
-
-  /// Stable label for telemetry and memo partitioning.
-  virtual const char *name() const = 0;
-};
-
-/// The built-in interval/congruence decision procedure.
-std::unique_ptr<SymSolver> makeBuiltinSolver();
-
-/// The optional SMT binding; null when PSEQ_ENABLE_SMT is off or no
-/// solver binary is configured (callers fall back to the built-in).
-std::unique_ptr<SymSolver> makeSmtSolver();
-
-/// True when this build carries the SMT binding (PSEQ_ENABLE_SMT=ON).
-bool smtBindingCompiled();
-
-/// Renders \p Cs as an SMT-LIB2 script (declare-const + range/congruence
-/// asserts + check-sat). Exposed for tests; the SMT binding pipes exactly
-/// this text to the external solver.
-std::string toSmtLib2(const std::vector<SymConstraint> &Cs);
+/// Satisfiability of the conjunction ⋀ (Cs[i].Id ∈ Cs[i].Dom).
+inline bool satisfiable(const std::vector<SymConstraint> &Cs) {
+  for (const SymConstraint &C : Cs)
+    if (C.Dom.isBottom())
+      return false;
+  return true;
+}
 
 } // namespace pseq::sym
 

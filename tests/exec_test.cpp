@@ -15,6 +15,7 @@
 
 #include "adequacy/Harness.h"
 #include "adequacy/RandomProgram.h"
+#include "atlas/Atlas.h"
 #include "exec/ThreadPool.h"
 #include "exec/WorkDeque.h"
 #include "litmus/Corpus.h"
@@ -30,6 +31,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <map>
 #include <set>
 
 using namespace pseq;
@@ -333,6 +336,81 @@ TEST(ThreadInvarianceTest, ValidatorTelemetryMatches) {
     return Telem.Counters.counters();
   };
   EXPECT_EQ(Run(1), Run(8));
+}
+
+namespace {
+
+/// Inner-engine span multiplicities (`seq.enum`, `psna.explore`) recorded
+/// while \p Engine runs at \p N workers with a span recorder attached.
+std::map<std::string, uint64_t>
+innerSpans(unsigned N,
+           const std::function<void(unsigned, obs::Telemetry &)> &Engine) {
+  obs::SpanRecorder Spans;
+  obs::Telemetry Telem;
+  Telem.Spans = &Spans;
+  Engine(N, Telem);
+  EXPECT_EQ(Spans.droppedSpans(), 0u) << "span lanes overflowed";
+  std::map<std::string, uint64_t> Out{{"seq.enum", 0}, {"psna.explore", 0}};
+  for (unsigned L = 0; L < Spans.lanes(); ++L)
+    for (const obs::SpanRecord &S : Spans.lane(L))
+      if (Out.count(S.Name))
+        ++Out[S.Name];
+  return Out;
+}
+
+} // namespace
+
+TEST(ThreadInvarianceTest, PooledEnginesKeepInnerSpans) {
+  // Every pooled engine hands its span recorder to its workers, so the
+  // spans of the engines they run are recorded whatever the worker count.
+  // All checks below hold, so no fan-out stops early at a failure.
+  const RefinementCase &RC =
+      refinementCaseByName("ex2.11-slf-across-rel-write");
+  std::unique_ptr<Program> Src = prog(RC.Src);
+  std::unique_ptr<Program> Tgt = prog(RC.Tgt);
+  std::unique_ptr<Program> Mp = prog(litmusCaseByName("mp-rel-acq").Text);
+  auto seqCfg = [&](unsigned N, obs::Telemetry &Telem) {
+    SeqConfig Cfg;
+    Cfg.Domain = RC.Domain;
+    Cfg.StepBudget = RC.StepBudget;
+    Cfg.NumThreads = N;
+    Cfg.Telem = &Telem;
+    return Cfg;
+  };
+
+  std::map<std::string, std::function<void(unsigned, obs::Telemetry &)>>
+      Engines;
+  Engines["validateTransform"] = [&](unsigned N, obs::Telemetry &Telem) {
+    EXPECT_TRUE(validateTransform(*Mp, *Mp, seqCfg(N, Telem),
+                                  ValidationMethod::Advanced)
+                    .Ok);
+  };
+  Engines["checkAdvancedRefinement"] = [&](unsigned N, obs::Telemetry &Telem) {
+    EXPECT_TRUE(checkAdvancedRefinement(*Src, *Tgt, seqCfg(N, Telem)).Holds);
+  };
+  Engines["runAdequacy"] = [&](unsigned N, obs::Telemetry &Telem) {
+    PsConfig PsCfg;
+    PsCfg.PromiseBudget = 0;
+    PsCfg.NumThreads = N;
+    PsCfg.Telem = &Telem;
+    EXPECT_TRUE(runAdequacy(RC.Name, *Src, *Tgt, seqCfg(N, Telem), PsCfg,
+                            RC.HasLoops)
+                    .PsnaAllContexts);
+  };
+  Engines["buildAtlas"] = [&](unsigned N, obs::Telemetry &Telem) {
+    atlas::AtlasOptions AO;
+    AO.Seq.StepBudget = 1;
+    AO.Ps.MaxStates = 2;
+    AO.NumThreads = AO.Seq.NumThreads = AO.Ps.NumThreads = N;
+    AO.Telem = &Telem;
+    atlas::buildAtlas(AO);
+  };
+
+  for (const auto &[Name, Engine] : Engines) {
+    std::map<std::string, uint64_t> One = innerSpans(1, Engine);
+    EXPECT_GT(One["seq.enum"] + One["psna.explore"], 0u) << Name;
+    EXPECT_EQ(innerSpans(2, Engine), One) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===
