@@ -3,11 +3,11 @@
 // Part of the pseq project, reproducing "Sequential Reasoning for Optimizing
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
 //
-// Measures exhaustive PS^na exploration over the litmus corpus, with the
-// two ablations DESIGN.md calls out:
+// Measures exhaustive PS^na exploration over the litmus corpus:
 //   * promise budget 0/1/2 — which outcomes need promises (Example 5.1);
-//   * timestamp normalization on/off — how many order-isomorphic states
-//     the ranking abstraction merges.
+//   * every corpus case at its own budgets. These keep the names
+//     "normalize/<case>/on" from the retired timestamp-normalization
+//     ablation, so the trend gate still compares them with history.
 //
 // Counters: states explored, distinct behaviors.
 //
@@ -26,13 +26,12 @@ using namespace pseq;
 namespace {
 
 void runLitmus(benchmark::State &State, const LitmusCase &LC,
-               unsigned PromiseBudget, bool Normalize) {
+               unsigned PromiseBudget) {
   std::unique_ptr<Program> P = parseOrDie(LC.Text);
   PsConfig Cfg;
   Cfg.Domain = LC.Domain;
   Cfg.PromiseBudget = PromiseBudget;
   Cfg.SplitBudget = LC.SplitBudget;
-  Cfg.Normalize = Normalize;
   Cfg.Telem = benchsupport::telemetry();
   Cfg.NumThreads = benchsupport::numThreads();
   Cfg.Guard = benchsupport::resourceGuard();
@@ -57,21 +56,17 @@ void registerAll() {
                        std::to_string(Budget);
       benchmark::RegisterBenchmark(
           Id.c_str(), [&LC, Budget](benchmark::State &S) {
-            runLitmus(S, LC, Budget, /*Normalize=*/true);
+            runLitmus(S, LC, Budget);
           });
     }
   }
 
-  // Normalization ablation across the whole corpus (at corpus budgets).
+  // The whole corpus at corpus budgets.
   for (const LitmusCase &LC : litmusCorpus()) {
-    for (bool Normalize : {true, false}) {
-      std::string Id = std::string("normalize/") + LC.Name +
-                       (Normalize ? "/on" : "/off");
-      benchmark::RegisterBenchmark(
-          Id.c_str(), [&LC, Normalize](benchmark::State &S) {
-            runLitmus(S, LC, LC.PromiseBudget, Normalize);
-          });
-    }
+    std::string Id = "normalize/" + LC.Name + "/on";
+    benchmark::RegisterBenchmark(Id.c_str(), [&LC](benchmark::State &S) {
+      runLitmus(S, LC, LC.PromiseBudget);
+    });
   }
 }
 

@@ -638,7 +638,7 @@ AbsDom absBinOp(BinOp Op, const AbsDom &L, const AbsDom &R, bool &MayUB) {
   case BinOp::Le:
   case BinOp::Gt:
   case BinOp::Ge: {
-    // Normalize to L < R / L <= R by swapping.
+    // Canonicalize to L < R / L <= R by swapping.
     const AbsDom &A = (Op == BinOp::Gt || Op == BinOp::Ge) ? R : L;
     const AbsDom &B = (Op == BinOp::Gt || Op == BinOp::Ge) ? L : R;
     bool Strict = Op == BinOp::Lt || Op == BinOp::Gt;

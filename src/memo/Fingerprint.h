@@ -18,9 +18,9 @@
 ///
 /// Fingerprinting is only meaningful over canonical forms: SEQ states are
 /// canonical by construction (dense location vectors, sorted partial
-/// memories), PS^na states after PsMachineState::normalize() has ranked
-/// every location's timestamps to their order type (the explorer only
-/// fingerprints normalized states).
+/// memories), and so are PS^na states, whose timestamps are dense
+/// per-location ranks (psna/View.h); the PS^na fingerprint is the state's
+/// cached 64-bit hash.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -23,9 +23,9 @@
 /// Two steps are independent iff neither is Global, at most one prints,
 /// and their location sets are disjoint. Disjointness is sufficient in
 /// PS^na because message insertion, visibility, racy-read/racy-write
-/// detection, and timestamp normalization are all per-location: steps at
-/// disjoint locations produce order-isomorphic (hence, after
-/// normalization, identical) states in either order.
+/// detection, and timestamp rank shifts are all per-location: steps at
+/// disjoint locations produce order-isomorphic (hence, with dense ranks,
+/// identical) states in either order.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -75,7 +75,18 @@ std::string pseq::obs::renderReportTable(const Telemetry &T) {
       Out += Line;
     }
   }
-  if (T.Counters.empty() && T.Timers.empty())
+  if (T.Spans) {
+    // A full span lane drops later spans; say so, or the span-derived
+    // numbers would look complete when they are not.
+    char Line[160];
+    std::snprintf(Line, sizeof(Line),
+                  "spans\n  %-44s %14llu\n  %-44s %14llu\n", "recorded",
+                  static_cast<unsigned long long>(T.Spans->totalSpans()),
+                  "dropped",
+                  static_cast<unsigned long long>(T.Spans->droppedSpans()));
+    Out += Line;
+  }
+  if (T.Counters.empty() && T.Timers.empty() && !T.Spans)
     Out += "(no telemetry recorded)\n";
   Out += "================================================================="
          "=====\n";
@@ -152,7 +163,12 @@ std::string pseq::obs::renderReportJson(const Telemetry &T) {
     Out += std::to_string(R.Count);
     Out += '}';
   }
-  Out += "]}";
+  Out += ']';
+  if (T.Spans)
+    Out += ",\"spans\":{\"recorded\":" +
+           std::to_string(T.Spans->totalSpans()) +
+           ",\"dropped\":" + std::to_string(T.Spans->droppedSpans()) + '}';
+  Out += '}';
   return Out;
 }
 

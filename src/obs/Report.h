@@ -15,7 +15,10 @@
 ///   {"counters":{"k":v,...},"gauges":{"k":v,...},
 ///    "histograms":{"k":{"count":n,"sum":s,"min":m,"max":M,
 ///                       "p50":v,"p90":v,"p99":v,"buckets":[[b,c],...]},...},
-///    "timers":[{"path":"a/b","ms":t,"count":n},...]}
+///    "timers":[{"path":"a/b","ms":t,"count":n},...],
+///    "spans":{"recorded":n,"dropped":n}}
+/// The "spans" member (and the table's spans section) is present when a
+/// span recorder is attached; "dropped" counts spans lost to full lanes.
 /// Histogram buckets are sparse [bucket index, count] pairs; percentiles
 /// are derived from the buckets, so two runs with equal buckets render
 /// byte-identical histogram objects.

@@ -115,6 +115,10 @@ std::string pseq::obs::renderChromeTrace(const SpanRecorder &R,
         emitNode(Out, First, L, Nodes, I);
   }
 
+  // Spans lost to full lanes: a trace missing its tail says so.
+  Out += ",\n{\"name\":\"spans_dropped\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+         "\"args\":{\"dropped\":" +
+         std::to_string(R.droppedSpans()) + "}}";
   Out += "\n],\"displayTimeUnit\":\"ms\"}";
   return Out;
 }

@@ -11,7 +11,8 @@
 /// chrome://tracing load directly. Every span becomes a balanced pair of
 /// "B"/"E" duration events on the lane's tid; the recorded nesting depths
 /// reconstruct exact begin/end ordering, so the output is well-formed even
-/// though lanes record spans at *end* time.
+/// though lanes record spans at *end* time. A closing "spans_dropped"
+/// metadata record carries the number of spans lost to full lanes.
 ///
 /// Timestamps are microseconds (the format's unit) since the recorder's
 /// epoch, with nanosecond fractions preserved.

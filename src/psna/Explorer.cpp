@@ -117,26 +117,18 @@ uint64_t approxStateBytes(const PsMachineState &S) {
               S.Outs.size() * sizeof(Value));
 }
 
-/// Canonical-state fingerprint: the explorer normalizes every state before
-/// hashing (dense per-location timestamp ranks), so mixing the component
-/// hashes of a normalized state is rename-invariant by construction.
+/// Canonical-state fingerprint: timestamps are dense per-location ranks
+/// by construction, so the state's cached hash is rename-invariant.
 memo::Fp128 psStateFingerprint(const PsMachineState &S) {
   memo::Fp128 F = memo::fpSeed(/*Tag=*/0x70737374 /* "psst" */);
-  memo::fpMix(F, S.Bottom ? 1 : 0);
-  memo::fpMix(F, S.Threads.size());
-  for (const PsThread &T : S.Threads)
-    memo::fpMix(F, T.hash());
-  memo::fpMix(F, S.Mem.hash());
-  memo::fpMix(F, S.Outs.size());
-  for (const Value &V : S.Outs)
-    memo::fpMix(F, V.hash());
+  memo::fpMix(F, S.hash());
   return F;
 }
 
 /// Static per-thread access sets feeding the sleep-set conflict predicate;
 /// On only when a MemoContext is attached and the run shape supports the
-/// independence argument (normalized states, mask-sized thread count, more
-/// than one thread to commute).
+/// independence argument (mask-sized thread count, more than one thread to
+/// commute).
 struct PruneInfo {
   bool On = false;
   std::vector<LocSet> Writable; ///< NaWritten ∪ AtomicAccessed (= the
@@ -147,8 +139,7 @@ struct PruneInfo {
 
 PruneInfo makePruneInfo(const Program &P, const PsConfig &Cfg) {
   PruneInfo PI;
-  if (!Cfg.Memo || !Cfg.Normalize || P.numThreads() < 2 ||
-      P.numThreads() > 32)
+  if (!Cfg.Memo || P.numThreads() < 2 || P.numThreads() > 32)
     return PI;
   PI.On = true;
   for (unsigned T = 0, E = P.numThreads(); T != E; ++T) {
@@ -166,7 +157,7 @@ PruneInfo makePruneInfo(const Program &P, const PsConfig &Cfg) {
 ///    re-certification interact with every step);
 ///  * fences → Global (view joins are not per-location);
 ///  * reads/writes/RMWs → their location (message insertion, visibility,
-///    race detection, and normalization are all per-location);
+///    race detection, and rank shifts are all per-location);
 ///  * prints → the Output order; silent/choose/fail steps touch nothing
 ///    (a fail's Bottom successor records the same UB behavior from any
 ///    interleaving point);
@@ -288,7 +279,7 @@ uint64_t nowMonotonicNs() {
           .count());
 }
 
-/// The PS^na exploration loop: breadth-first over normalized states,
+/// The PS^na exploration loop: breadth-first over canonical states,
 /// level-synchronous across \p N workers. Each round expands a batch of
 /// frontier states across the pool — the whole frontier with several
 /// workers, the front state with one — then merges the expansions *in pop
@@ -336,7 +327,6 @@ PsBehaviorSet explore(const Program &P, const PsConfig &Cfg, unsigned N) {
   ++Runs;
 
   PsMachineState Init = Machines[0]->initialState();
-  Init.normalize();
   if (PI.On)
     PrunedVisited.insertOrMerge(psStateFingerprint(Init), 0);
   else
@@ -520,7 +510,6 @@ memo::Fp128 psExploreKey(const Program &P, const PsConfig &Cfg) {
   memo::fpMix(K, Cfg.SplitBudget);
   memo::fpMix(K, Cfg.CertNodeBudget);
   memo::fpMix(K, Cfg.MaxStates);
-  memo::fpMix(K, Cfg.Normalize ? 1 : 0);
   // Lint-driven marker skipping leaves the behaviors identical, but not
   // StatesExplored or the race/marker tallies. The caller passes
   // the *effective* config (SkipNaMarkers already resolved).
@@ -624,7 +613,6 @@ std::vector<PsMachineState> pseq::findPsnaWitness(const Program &P,
   std::deque<unsigned> Work;
 
   PsMachineState Init = M.initialState();
-  Init.normalize();
   Visited.insert(Init);
   States.push_back(std::move(Init));
   Parent.push_back(~0u);

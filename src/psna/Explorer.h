@@ -10,7 +10,7 @@
 /// a behavior maps each thread to a return value — extended here with the
 /// global sequence of print system calls (footnote 10) — or is ⊥ after a
 /// machine failure. The explorer walks the certified machine-step graph
-/// with timestamp-normalized state hashing.
+/// with canonical (dense-rank timestamp) state hashing.
 ///
 //===----------------------------------------------------------------------===//
 

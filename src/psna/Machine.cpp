@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <unordered_set>
 
 using namespace pseq;
@@ -31,11 +30,11 @@ bool PsMachineState::allDone() const {
 }
 
 bool PsMachineState::operator==(const PsMachineState &O) const {
-  return Bottom == O.Bottom && Outs == O.Outs && Threads == O.Threads &&
-         Mem == O.Mem;
+  return Hash == O.Hash && Bottom == O.Bottom && Outs == O.Outs &&
+         Threads == O.Threads && Mem == O.Mem;
 }
 
-uint64_t PsMachineState::hash() const {
+uint64_t PsMachineState::computeHash() const {
   uint64_t H = Bottom ? 0xb0770bULL : 1;
   H = hashCombine(H, Outs.size());
   for (Value V : Outs)
@@ -44,6 +43,19 @@ uint64_t PsMachineState::hash() const {
     H = hashCombine(H, T.hash());
   H = hashCombine(H, Mem.hash());
   return H;
+}
+
+void PsMachineState::insertMessage(const TimeSlot &Slot, const PsMessage &M,
+                                   const Time *View) {
+  Time By = Slot.To - Slot.Base;
+  for (PsThread &T : Threads) {
+    T.V.shift(M.Loc, Slot.Base, By);
+    // Promise ids stay sorted: the shift is monotone within a location.
+    for (MsgId &Id : T.Promises)
+      if (Id.Loc == M.Loc && Id.To > Slot.Base)
+        Id.To += By;
+  }
+  Mem.insert(Slot, M, View);
 }
 
 std::string PsMachineState::str() const {
@@ -69,69 +81,6 @@ std::string PsMachineState::str() const {
   return Out;
 }
 
-void PsMachineState::normalize() {
-  unsigned NumLocs = Mem.numLocs();
-
-  // Collect every timestamp mentioned per location: message endpoints,
-  // message-view entries, thread-view entries, promise ids. All ranked
-  // values are therefore in the maps by construction.
-  std::vector<std::map<Rational, Rational>> Rank(NumLocs);
-  auto note = [&](unsigned Loc, Rational T) {
-    Rank[Loc].emplace(T, Rational(0));
-  };
-  for (unsigned Loc = 0; Loc != NumLocs; ++Loc) {
-    note(Loc, Rational(0));
-    for (const PsMessage &M : Mem.msgs(Loc)) {
-      note(Loc, M.From);
-      note(Loc, M.To);
-      if (M.MView.has_value())
-        for (unsigned L2 = 0; L2 != NumLocs; ++L2)
-          note(L2, M.MView->get(L2));
-    }
-  }
-  for (const PsThread &T : Threads) {
-    for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
-      note(Loc, T.V.get(Loc));
-    for (const MsgId &Id : T.Promises)
-      note(Id.Loc, Id.To);
-  }
-
-  for (unsigned Loc = 0; Loc != NumLocs; ++Loc) {
-    int64_t Next = 0;
-    for (auto &[Old, New] : Rank[Loc])
-      New = Rational(Next++);
-  }
-  auto remap = [&](unsigned Loc, Rational T) {
-    auto It = Rank[Loc].find(T);
-    assert(It != Rank[Loc].end() && "timestamp escaped collection");
-    return It->second;
-  };
-  auto remapView = [&](View &V) {
-    for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
-      V.set(Loc, remap(Loc, V.get(Loc)));
-  };
-
-  // Rebuild the memory with remapped endpoints (the remap is monotone per
-  // location, so order and adjacency are preserved).
-  std::vector<PsMessage> All;
-  for (unsigned Loc = 0; Loc != NumLocs; ++Loc)
-    for (const PsMessage &Const : Mem.msgs(Loc)) {
-      PsMessage M = Const;
-      M.From = remap(Loc, M.From);
-      M.To = remap(Loc, M.To);
-      if (M.MView.has_value())
-        remapView(*M.MView);
-      All.push_back(std::move(M));
-    }
-  Mem = PsMemory::fromMessages(NumLocs, std::move(All));
-
-  for (PsThread &T : Threads) {
-    remapView(T.V);
-    for (MsgId &Id : T.Promises)
-      Id.To = remap(Id.Loc, Id.To);
-  }
-}
-
 //===----------------------------------------------------------------------===
 // PsMachine
 //===----------------------------------------------------------------------===
@@ -145,6 +94,7 @@ PsMachineState PsMachine::initialState() const {
     Th.V = View::zero(Prog.numLocs());
     S.Threads.push_back(std::move(Th));
   }
+  S.rehash();
   return S;
 }
 
@@ -181,6 +131,39 @@ bool canFail(const PsThread &T) {
   return true;
 }
 
+/// The view [x ↦ t]: zero everywhere except \p Loc.
+View singleView(unsigned NumLocs, unsigned Loc, Time To) {
+  View V = View::zero(NumLocs);
+  V.set(Loc, To);
+  return V;
+}
+
+/// True when \p M carries exactly the view [M.Loc ↦ M.To].
+bool hasSingleView(const PsMemory &Mem, const PsMessage &M) {
+  const Time *MV = Mem.view(M);
+  if (!MV)
+    return false;
+  for (unsigned L = 0, E = Mem.numLocs(); L != E; ++L)
+    if (MV[L] != (L == M.Loc ? M.To : 0))
+      return false;
+  return true;
+}
+
+/// Release side condition: ∀m ∈ P|Msg_x: m.view = ⊥ — an outstanding
+/// valued promise to \p Loc (to any location when \p AnyLoc) with a
+/// non-⊥ view blocks the release.
+bool releaseBlocked(const PsMachineState &S, unsigned Tid, unsigned Loc,
+                    bool AnyLoc) {
+  for (const MsgId &Id : S.Threads[Tid].Promises) {
+    if (!AnyLoc && Id.Loc != Loc)
+      continue;
+    const PsMessage *M = S.Mem.find(Id);
+    if (!M->Valueless && M->HasView)
+      return true;
+  }
+  return false;
+}
+
 } // namespace
 
 void PsMachine::stepFail(const PsMachineState &S, unsigned Tid,
@@ -208,10 +191,9 @@ void PsMachine::stepRead(const PsMachineState &S, unsigned Tid,
     PsMachineState Next = S;
     PsThread &NT = Next.Threads[Tid];
     NT.Prog.applyRead(Prog, Tid, M.V);
-    View NV = NT.V.joined(View::single(Prog.numLocs(), X, M.To));
-    if (Acq)
-      NV = joinMsgView(NV, M.MView);
-    NT.V = NV;
+    NT.V.set(X, M.To);
+    if (Acq && M.HasView)
+      NT.V.join(S.Mem.view(M));
     Out.push_back(std::move(Next));
   }
 
@@ -231,8 +213,8 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
                           bool ForCertification) const {
   const PsThread &T = S.Threads[Tid];
   unsigned X = Pend.Loc;
-  Value V = Pend.WVal;
-  Rational Vx = T.V.get(X);
+  unsigned NumLocs = Prog.numLocs();
+  Time Vx = T.V.get(X);
 
   // (racy-write): UB when racing.
   if (isRacy(S, Tid, X, Pend.WM != WriteMode::NA)) {
@@ -241,16 +223,23 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
     stepFail(S, Tid, Out);
   }
 
-  auto emit = [&](Rational NewTo, std::vector<MsgId> Fulfilled,
-                  std::optional<PsMessage> NewMsg) {
+  // A write either stores a new message at \p Slot (with view \p MsgView)
+  // or, with no slot, fulfills a promise at NewTo. Fulfilled promise ids
+  // lie at or below every slot's Base, so the insert never moves them.
+  auto emit = [&](Time NewTo, const std::vector<MsgId> &Fulfilled,
+                  const TimeSlot *Slot, const Time *MsgView) {
     PsMachineState Next = S;
+    if (Slot) {
+      PsMessage M;
+      M.Loc = X;
+      M.V = Pend.WVal;
+      Next.insertMessage(*Slot, M, MsgView);
+    }
     PsThread &NT = Next.Threads[Tid];
     NT.Prog.applyWrite(Prog, Tid);
     NT.V.set(X, NewTo);
     for (const MsgId &Id : Fulfilled)
       NT.removePromise(Id);
-    if (NewMsg.has_value())
-      Next.Mem.insert(*NewMsg);
     Out.push_back(std::move(Next));
   };
 
@@ -265,7 +254,7 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
         continue;
       const PsMessage *M = S.Mem.find(Id);
       assert(M && "promise without a message");
-      if (M->MView.has_value())
+      if (M->HasView)
         continue; // na-write messages all carry view ⊥
       Cands.push_back(M);
     }
@@ -275,82 +264,52 @@ void PsMachine::stepWrite(const PsMachineState &S, unsigned Tid,
       if (static_cast<unsigned>(__builtin_popcountll(Mask)) >
           Cfg.SplitBudget)
         continue;
-      Rational MaxSplit = Vx;
+      Time MaxSplit = Vx;
       std::vector<MsgId> Splits;
       for (unsigned I = 0; I != N; ++I) {
         if (!((Mask >> I) & 1))
           continue;
         Splits.push_back(MsgId{X, Cands[I]->To});
-        if (MaxSplit < Cands[I]->To)
-          MaxSplit = Cands[I]->To;
+        MaxSplit = std::max(MaxSplit, Cands[I]->To);
       }
       // Final message: fresh slot above every split...
-      for (const TimeSlot &Slot : S.Mem.slotsAbove(X, MaxSplit)) {
-        PsMessage M;
-        M.Loc = X;
-        M.From = Slot.From;
-        M.To = Slot.To;
-        M.V = V;
-        M.MView = std::nullopt;
-        emit(Slot.To, Splits, M);
-      }
+      for (const TimeSlot &Slot : S.Mem.slotsAbove(X, MaxSplit))
+        emit(Slot.To, Splits, &Slot, nullptr);
       // ... or fulfillment of a further ⊥-view promise with equal value.
       for (unsigned I = 0; I != N; ++I) {
         if ((Mask >> I) & 1)
           continue;
         const PsMessage *M = Cands[I];
-        if (M->Valueless || M->V != V || !(MaxSplit < M->To))
+        if (M->Valueless || M->V != Pend.WVal || !(MaxSplit < M->To))
           continue;
         std::vector<MsgId> All = Splits;
         All.push_back(MsgId{X, M->To});
-        emit(M->To, All, std::nullopt);
+        emit(M->To, All, nullptr, nullptr);
       }
     }
     return;
   }
   case WriteMode::RLX: {
-    for (const TimeSlot &Slot : S.Mem.slotsAbove(X, Vx)) {
-      PsMessage M;
-      M.Loc = X;
-      M.From = Slot.From;
-      M.To = Slot.To;
-      M.V = V;
-      M.MView = View::single(Prog.numLocs(), X, Slot.To);
-      emit(Slot.To, {}, M);
-    }
+    for (const TimeSlot &Slot : S.Mem.slotsAbove(X, Vx))
+      emit(Slot.To, {}, &Slot, singleView(NumLocs, X, Slot.To).data());
     // (memory: fulfill) of an own promise with matching content.
     for (const MsgId &Id : T.Promises) {
       if (Id.Loc != X || !(Vx < Id.To))
         continue;
       const PsMessage *M = S.Mem.find(Id);
-      if (M->Valueless || M->V != V)
+      if (M->Valueless || M->V != Pend.WVal || !hasSingleView(S.Mem, *M))
         continue;
-      if (M->MView != MsgView(View::single(Prog.numLocs(), X, Id.To)))
-        continue;
-      emit(Id.To, {Id}, std::nullopt);
+      emit(Id.To, {Id}, nullptr, nullptr);
     }
     return;
   }
   case WriteMode::REL: {
-    // ∀m ∈ P|Msg_x: m.view = ⊥ — outstanding valued promises to x with a
-    // non-⊥ view block the release.
-    for (const MsgId &Id : T.Promises) {
-      if (Id.Loc != X)
-        continue;
-      const PsMessage *M = S.Mem.find(Id);
-      if (!M->Valueless && M->MView.has_value())
-        return;
-    }
+    if (releaseBlocked(S, Tid, X, /*AnyLoc=*/false))
+      return;
     for (const TimeSlot &Slot : S.Mem.slotsAbove(X, Vx)) {
-      PsMessage M;
-      M.Loc = X;
-      M.From = Slot.From;
-      M.To = Slot.To;
-      M.V = V;
       View NV = T.V;
       NV.set(X, Slot.To);
-      M.MView = NV;
-      emit(Slot.To, {}, M);
+      emit(Slot.To, {}, &Slot, NV.data());
     }
     return;
   }
@@ -366,7 +325,7 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
   bool Acq = Pend.RM == ReadMode::ACQ;
 
   auto finish = [&](PsMachineState Next, bool DoesWrite, Value NewVal,
-                    View ReadView, Rational ReadTo, bool Adjacent) {
+                    const View &ReadView, Time ReadTo, bool Adjacent) {
     PsThread &NT = Next.Threads[Tid];
     if (NT.Prog.isError()) {
       // CAS comparison on undef: UB (subject to the fail condition).
@@ -400,34 +359,25 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
     }
     for (const TimeSlot &Slot : Slots) {
       PsMachineState Cand = Next;
-      PsThread &CT = Cand.Threads[Tid];
       View NV = ReadView;
       NV.set(X, Slot.To);
       PsMessage M;
       M.Loc = X;
-      M.From = Slot.From;
-      M.To = Slot.To;
       M.V = NewVal;
-      M.MView = Pend.WM == WriteMode::REL
-                    ? MsgView(NV)
-                    : MsgView(View::single(Prog.numLocs(), X, Slot.To));
-      CT.V = NV;
-      Cand.Mem.insert(M);
+      Cand.insertMessage(Slot, M,
+                         Pend.WM == WriteMode::REL
+                             ? NV.data()
+                             : singleView(Prog.numLocs(), X, Slot.To).data());
+      Cand.Threads[Tid].V = std::move(NV);
       Out.push_back(std::move(Cand));
     }
   };
 
   // Release-mode updates are blocked by non-⊥-view promises to x, like
   // release writes.
-  if (Pend.WM == WriteMode::REL) {
-    for (const MsgId &Id : T.Promises) {
-      if (Id.Loc != X)
-        continue;
-      const PsMessage *M = S.Mem.find(Id);
-      if (!M->Valueless && M->MView.has_value())
-        return;
-    }
-  }
+  if (Pend.WM == WriteMode::REL &&
+      releaseBlocked(S, Tid, X, /*AnyLoc=*/false))
+    return;
 
   for (const PsMessage &M : S.Mem.msgs(X)) {
     if (M.Valueless || M.To < T.V.get(X))
@@ -437,9 +387,10 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
     bool DoesWrite = false;
     Value NewVal;
     NT.Prog.applyRmw(Prog, Tid, M.V, DoesWrite, NewVal);
-    View RV = T.V.joined(View::single(Prog.numLocs(), X, M.To));
-    if (Acq)
-      RV = joinMsgView(RV, M.MView);
+    View RV = T.V;
+    RV.set(X, M.To);
+    if (Acq && M.HasView)
+      RV.join(S.Mem.view(M));
     finish(std::move(Next), DoesWrite, NewVal, RV, M.To,
            /*Adjacent=*/true);
   }
@@ -453,8 +404,7 @@ void PsMachine::stepRmw(const PsMachineState &S, unsigned Tid,
     bool DoesWrite = false;
     Value NewVal;
     NT.Prog.applyRmw(Prog, Tid, Value::undef(), DoesWrite, NewVal);
-    finish(std::move(Next), DoesWrite, NewVal, T.V, Rational(0),
-           /*Adjacent=*/false);
+    finish(std::move(Next), DoesWrite, NewVal, T.V, 0, /*Adjacent=*/false);
   }
 }
 
@@ -471,36 +421,25 @@ void PsMachine::stepPromise(const PsMachineState &S, unsigned Tid,
   for (unsigned X : Writable.members()) {
     bool Atomic = Prog.isAtomicLoc(X);
     for (const TimeSlot &Slot : S.Mem.slotsAbove(X, T.V.get(X))) {
-      auto emit = [&](PsMessage M) {
-        M.Loc = X;
-        M.From = Slot.From;
-        M.To = Slot.To;
+      View SV = Atomic ? singleView(Prog.numLocs(), X, Slot.To) : View();
+      auto emit = [&](const PsMessage &M) {
         PsMachineState Next = S;
-        Next.Mem.insert(M);
+        Next.insertMessage(Slot, M, Atomic ? SV.data() : nullptr);
         Next.Threads[Tid].addPromise(MsgId{X, Slot.To});
         Out.push_back(std::move(Next));
       };
-      if (Atomic) {
-        for (Value V : readValues()) {
-          PsMessage M;
-          M.V = V;
-          M.MView = View::single(Prog.numLocs(), X, Slot.To);
-          emit(M);
-        }
-      } else {
-        for (Value V : readValues()) {
-          PsMessage M;
-          M.V = V;
-          M.MView = std::nullopt;
-          emit(M);
-        }
-        if (!Cfg.SkipNaMarkers) {
-          ++NaMarkerCount;
-          PsMessage NaMarker;
-          NaMarker.Valueless = true;
-          NaMarker.MView = std::nullopt;
-          emit(NaMarker);
-        }
+      PsMessage M;
+      M.Loc = X;
+      for (Value V : readValues()) {
+        M.V = V;
+        emit(M);
+      }
+      if (!Atomic && !Cfg.SkipNaMarkers) {
+        ++NaMarkerCount;
+        PsMessage NaMarker;
+        NaMarker.Loc = X;
+        NaMarker.Valueless = true;
+        emit(NaMarker);
       }
     }
   }
@@ -517,18 +456,14 @@ void PsMachine::stepLower(const PsMachineState &S, unsigned Tid,
     if (M->Valueless)
       continue;
     bool CanUndef = !M->V.isUndef();
-    bool CanBot = M->MView.has_value();
+    bool CanBot = M->HasView;
     for (int Mask = 1; Mask < 4; ++Mask) {
       bool DoUndef = Mask & 1;
       bool DoBot = Mask & 2;
       if ((DoUndef && !CanUndef) || (DoBot && !CanBot))
         continue;
       PsMachineState Next = S;
-      PsMessage *NM = Next.Mem.findMutable(Id);
-      if (DoUndef)
-        NM->V = Value::undef();
-      if (DoBot)
-        NM->MView = std::nullopt;
+      Next.Mem.lower(Id, DoUndef, DoBot);
       Out.push_back(std::move(Next));
     }
   }
@@ -574,13 +509,9 @@ PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
     // Single-view approximation (see header): an acquire fence is a no-op
     // on the state; a release fence requires all valued promises to carry
     // view ⊥ (the per-location release condition, globalized).
-    if (Pend.FM == FenceMode::REL) {
-      for (const MsgId &Id : S.Threads[Tid].Promises) {
-        const PsMessage *M = S.Mem.find(Id);
-        if (!M->Valueless && M->MView.has_value())
-          return Out;
-      }
-    }
+    if (Pend.FM == FenceMode::REL &&
+        releaseBlocked(S, Tid, 0, /*AnyLoc=*/true))
+      return Out;
     PsMachineState Next = S;
     Next.Threads[Tid].Prog.applyFence(Prog, Tid);
     Out.push_back(std::move(Next));
@@ -598,6 +529,8 @@ PsMachine::microSteps(const PsMachineState &S, unsigned Tid,
   if (!ForCertification)
     stepPromise(S, Tid, Out);
   stepLower(S, Tid, Out);
+  for (PsMachineState &Next : Out)
+    Next.rehash();
   return Out;
 }
 
@@ -619,11 +552,11 @@ bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
   uint64_t &Nodes = Tally.slot("psna.cert.nodes");
   uint64_t &BudgetHits = Tally.slot("psna.cert.budget_hits");
   ++Searches;
-  // Depth-first search over thread-local futures.
+  // Depth-first search over thread-local futures. The stack points into
+  // Visited, whose nodes never move, so each state is stored once.
   std::unordered_set<PsMachineState, StateHash> Visited;
-  std::vector<PsMachineState> Stack;
-  Stack.push_back(S);
-  Visited.insert(S);
+  std::vector<const PsMachineState *> Stack;
+  Stack.push_back(&*Visited.insert(S).first);
   unsigned Budget = Cfg.CertNodeBudget;
   while (!Stack.empty()) {
     if (Budget-- == 0) {
@@ -632,7 +565,7 @@ bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
       return false;
     }
     ++Nodes;
-    PsMachineState Cur = Stack.back();
+    const PsMachineState &Cur = *Stack.back();
     Stack.pop_back();
     if (Cur.Threads[Tid].Promises.empty())
       return true;
@@ -640,12 +573,11 @@ bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
       continue;
     for (PsMachineState &Next : microSteps(Cur, Tid,
                                            /*ForCertification=*/true)) {
-      if (Cfg.Normalize)
-        Next.normalize();
       if (Next.Threads[Tid].Promises.empty())
         return true;
-      if (Visited.insert(Next).second)
-        Stack.push_back(std::move(Next));
+      auto [It, Inserted] = Visited.insert(std::move(Next));
+      if (Inserted)
+        Stack.push_back(&*It);
     }
   }
   return false;
@@ -654,15 +586,9 @@ bool PsMachine::certifiable(const PsMachineState &S, unsigned Tid) const {
 std::vector<PsMachineState>
 PsMachine::threadSuccessors(const PsMachineState &S, unsigned Tid) const {
   std::vector<PsMachineState> Out;
-  for (PsMachineState &Next : microSteps(S, Tid, /*ForCertification=*/false)) {
-    if (Cfg.Normalize)
-      Next.normalize();
-    if (Next.Bottom) {
-      Out.push_back(std::move(Next)); // (machine: failure) — no cert
-      continue;
-    }
-    if (certifiable(Next, Tid))
+  for (PsMachineState &Next : microSteps(S, Tid, /*ForCertification=*/false))
+    // (machine: failure) steps need no certification.
+    if (Next.Bottom || certifiable(Next, Tid))
       Out.push_back(std::move(Next));
-  }
   return Out;
 }

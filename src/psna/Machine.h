@@ -15,16 +15,19 @@
 ///    after each step with outstanding promises (a sound, standard
 ///    granularity: Fig. 5's →+ decomposes into certified single steps for
 ///    this fragment);
-///  * timestamps are placed canonically: new messages occupy the middle of
-///    a gap (leaving both sides insertable) or a unit slot past the
-///    maximum; RMW writes attach From to the read timestamp, which is
-///    exactly PS2.1's mechanism for update atomicity;
+///  * timestamps are dense per-location ranks (psna/View.h): a new message
+///    takes fresh ranks in a gap, past the maximum, or (for RMW writes)
+///    directly above the message read, and every higher rank at that
+///    location moves up in the same pass. States are therefore canonical
+///    by construction: order-isomorphic states are equal, with no
+///    normalization step. RMW writes attach From to the read timestamp,
+///    which is exactly PS2.1's mechanism for update atomicity;
 ///  * promised messages carry view ⊥ (non-atomic locations, plus valueless
 ///    NAMsg) or [x↦t] (atomic locations); release writes are never
 ///    promised (PS1's restriction — release fulfillment is not needed by
 ///    any example in the paper);
-///  * after every step, states are normalized by ranking each location's
-///    timestamps, which merges order-isomorphic states.
+///  * every state caches its hash, computed once per step and reused by
+///    the explorer's and the certification search's visited sets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,10 +59,6 @@ struct PsConfig {
   unsigned SplitBudget = 0;    ///< extra messages per non-atomic write
   unsigned CertNodeBudget = 20000; ///< certification search nodes
   unsigned MaxStates = 400000; ///< explorer state cap
-  /// Ablation knob: rank timestamps after every step (merging
-  /// order-isomorphic states). Off, exploration still terminates on
-  /// loop-free programs but visits many more states (bench_psna_explore).
-  bool Normalize = true;
   /// Run the static race analyzer (analysis/RaceLint.h) before exploring
   /// and skip valueless NAMsg race markers when the verdict proves no
   /// race transition can fire. Behaviors are bit-identical either way
@@ -99,15 +98,25 @@ struct PsMachineState {
   PsMemory Mem;
   bool Bottom = false;
   std::vector<Value> Outs;
+  /// hash(), cached: the machine sets it on every state it hands out.
+  uint64_t Hash = 0;
 
   bool allDone() const;
 
-  /// Ranks every location's timestamps to 0..k (exact: every timestamp in
-  /// views equals some message endpoint), merging order-isomorphic states.
-  void normalize();
+  /// Stores \p M at \p Slot with view \p View (nullptr = ⊥). One pass
+  /// over the slot's location opens its fresh ranks: every timestamp above
+  /// Slot.Base there — message endpoints, message and thread views,
+  /// promise ids — moves up by Slot.To - Slot.Base. Ranks stay dense, so
+  /// this is the whole of timestamp canonicalization.
+  void insertMessage(const TimeSlot &Slot, const PsMessage &M,
+                     const Time *View);
+
+  /// Recomputes the cached hash after a mutation.
+  void rehash() { Hash = computeHash(); }
+  uint64_t computeHash() const;
+  uint64_t hash() const { return Hash; }
 
   bool operator==(const PsMachineState &O) const;
-  uint64_t hash() const;
   std::string str() const;
 };
 
@@ -127,7 +136,7 @@ public:
   PsMachineState initialState() const;
 
   /// All certified machine steps in which thread \p Tid moves once.
-  /// Successors are normalized. (machine: normal) steps are filtered by
+  /// (machine: normal) steps are filtered by
   /// certification; (machine: failure) steps yield Bottom states.
   std::vector<PsMachineState> threadSuccessors(const PsMachineState &S,
                                                unsigned Tid) const;

@@ -16,123 +16,125 @@ using namespace pseq;
 
 PsMemory PsMemory::initial(unsigned NumLocs) {
   PsMemory M;
-  M.PerLoc.resize(NumLocs);
+  M.NumLocs = NumLocs;
   for (unsigned L = 0; L != NumLocs; ++L)
-    M.PerLoc[L].push_back(PsMessage::init(L));
+    M.Msgs.push_back(PsMessage::init(L));
+  M.Views.assign(size_t(NumLocs) * NumLocs, 0);
   return M;
 }
 
-PsMemory PsMemory::fromMessages(unsigned NumLocs,
-                                std::vector<PsMessage> Msgs) {
-  PsMemory M;
-  M.PerLoc.resize(NumLocs);
-  for (PsMessage &Msg : Msgs) {
-    assert(Msg.Loc < NumLocs && "location out of range");
-    M.PerLoc[Msg.Loc].push_back(std::move(Msg));
+std::span<const PsMessage> PsMemory::msgs(unsigned Loc) const {
+  assert(Loc < NumLocs && "location out of range");
+  auto ByLoc = [](const PsMessage &M, unsigned L) { return M.Loc < L; };
+  auto B = std::lower_bound(Msgs.begin(), Msgs.end(), Loc, ByLoc);
+  auto E = std::lower_bound(B, Msgs.end(), Loc + 1, ByLoc);
+  return {B, E};
+}
+
+void PsMemory::insert(const TimeSlot &Slot, PsMessage M, const Time *View) {
+  assert(M.Loc < NumLocs && "location out of range");
+  assert(Slot.Base <= Slot.From && Slot.From < Slot.To &&
+         "empty or inverted message range");
+  Time By = Slot.To - Slot.Base;
+  (void)rankAdd(msgs(M.Loc).back().To, By); // the new top must fit
+  size_t Pos = Msgs.size();
+  for (size_t I = 0, E = Msgs.size(); I != E; ++I) {
+    PsMessage &Old = Msgs[I];
+    if (Old.Loc == M.Loc) {
+      if (Old.From > Slot.Base)
+        Old.From += By;
+      if (Old.To > Slot.Base) {
+        Old.To += By;
+        Pos = std::min(Pos, I);
+      }
+    } else if (Old.Loc > M.Loc) {
+      Pos = std::min(Pos, I);
+    }
+    // ⊥ views are all zeros, which never exceed Base.
+    Time &T = Views[I * NumLocs + M.Loc];
+    if (T > Slot.Base)
+      T += By;
   }
-  for (std::vector<PsMessage> &Ms : M.PerLoc)
-    std::sort(Ms.begin(), Ms.end(),
-              [](const PsMessage &A, const PsMessage &B) {
-                return A.To < B.To;
-              });
-  return M;
-}
-
-const std::vector<PsMessage> &PsMemory::msgs(unsigned Loc) const {
-  assert(Loc < PerLoc.size() && "location out of range");
-  return PerLoc[Loc];
-}
-
-void PsMemory::insert(const PsMessage &M) {
-  assert(M.Loc < PerLoc.size() && "location out of range");
-  assert(M.From < M.To && "empty or inverted message range");
-  std::vector<PsMessage> &Ms = PerLoc[M.Loc];
-  auto It = std::lower_bound(Ms.begin(), Ms.end(), M,
-                             [](const PsMessage &A, const PsMessage &B) {
-                               return A.To < B.To;
-                             });
-  // Disjointness: the previous message must end at or before M.From, the
-  // next must start at or after M.To.
-  if (It != Ms.begin())
-    assert(std::prev(It)->To <= M.From && "overlapping message ranges");
-  if (It != Ms.end())
-    assert(M.To <= It->From && "overlapping message ranges");
-  Ms.insert(It, M);
+  M.From = Slot.From;
+  M.To = Slot.To;
+  M.HasView = View != nullptr;
+  Msgs.insert(Msgs.begin() + Pos, M);
+  auto At = Views.begin() + Pos * NumLocs;
+  if (View)
+    Views.insert(At, View, View + NumLocs);
+  else
+    Views.insert(At, NumLocs, 0);
 }
 
 const PsMessage *PsMemory::find(MsgId Id) const {
-  assert(Id.Loc < PerLoc.size() && "location out of range");
-  for (const PsMessage &M : PerLoc[Id.Loc])
+  for (const PsMessage &M : msgs(Id.Loc))
     if (M.To == Id.To)
       return &M;
   return nullptr;
 }
 
-PsMessage *PsMemory::findMutable(MsgId Id) {
-  return const_cast<PsMessage *>(find(Id));
+void PsMemory::lower(MsgId Id, bool ToUndef, bool ToBot) {
+  const PsMessage *Found = find(Id);
+  assert(Found && "lowering a missing message");
+  size_t I = Found - Msgs.data();
+  if (ToUndef)
+    Msgs[I].V = Value::undef();
+  if (ToBot) {
+    Msgs[I].HasView = false;
+    std::fill_n(Views.begin() + I * NumLocs, NumLocs, 0);
+  }
 }
 
-std::vector<TimeSlot> PsMemory::slotsAbove(unsigned Loc,
-                                           Rational After) const {
-  assert(Loc < PerLoc.size() && "location out of range");
-  const std::vector<PsMessage> &Ms = PerLoc[Loc];
+std::vector<TimeSlot> PsMemory::slotsAbove(unsigned Loc, Time After) const {
+  std::span<const PsMessage> Ms = msgs(Loc);
   std::vector<TimeSlot> Out;
-  // Gaps between consecutive messages (and below the first message, which
-  // cannot occur in practice since the init message sits at 0).
+  // Gaps between consecutive messages: ranks are dense, so a gap is one
+  // rank wide and the new message takes the two fresh ranks above its
+  // lower end. After is always an endpoint, hence never inside a gap.
   for (size_t I = 0; I + 1 < Ms.size(); ++I) {
-    Rational GapLo = Ms[I].To;
-    Rational GapHi = Ms[I + 1].From;
-    if (!(GapLo < GapHi))
-      continue; // adjacent messages: no room
-    if (GapHi <= After)
-      continue; // entirely below the required lower bound
-    Rational Lo = GapLo < After ? After : GapLo;
-    // Occupy the middle third of the available space so both sides stay
-    // insertable for later writes.
-    Rational Third = (GapHi - Lo) / Rational(3);
-    Out.push_back({Lo + Third, GapHi - Third});
+    Time GapLo = Ms[I].To;
+    if (GapLo == Ms[I + 1].From || GapLo < After)
+      continue; // adjacent messages, or below the required lower bound
+    Out.push_back({GapLo, rankAdd(GapLo, 1), rankAdd(GapLo, 2)});
   }
   // Past the maximal message.
-  Rational MaxTo = Ms.empty() ? Rational(0) : Ms.back().To;
-  Rational Lo = MaxTo < After ? After : MaxTo;
-  Out.push_back({Lo + Rational(1, 2), Lo + Rational(1)});
+  Time Max = Ms.back().To;
+  Out.push_back({Max, rankAdd(Max, 1), rankAdd(Max, 2)});
   return Out;
 }
 
 std::optional<TimeSlot> PsMemory::adjacentSlot(unsigned Loc,
-                                               Rational ReadTo) const {
-  assert(Loc < PerLoc.size() && "location out of range");
-  const std::vector<PsMessage> &Ms = PerLoc[Loc];
+                                               Time ReadTo) const {
+  std::span<const PsMessage> Ms = msgs(Loc);
   for (size_t I = 0, E = Ms.size(); I != E; ++I) {
     if (Ms[I].To != ReadTo)
       continue;
-    Rational GapHi;
-    if (I + 1 < E) {
-      GapHi = Ms[I + 1].From;
-      if (!(ReadTo < GapHi))
-        return std::nullopt; // something already attached above
-      // Leave the upper half of the gap for later (non-adjacent) inserts.
-      return TimeSlot{ReadTo, ReadTo.midpoint(GapHi)};
-    }
-    return TimeSlot{ReadTo, ReadTo + Rational(1)};
+    if (I + 1 < E && Ms[I + 1].From == ReadTo)
+      return std::nullopt; // something already attached above
+    return TimeSlot{ReadTo, ReadTo, rankAdd(ReadTo, 1)};
   }
   return std::nullopt; // no message with that timestamp
 }
 
 uint64_t PsMemory::hash() const {
-  uint64_t H = PerLoc.size();
-  for (const std::vector<PsMessage> &Ms : PerLoc) {
-    H = hashCombine(H, Ms.size());
-    for (const PsMessage &M : Ms)
-      H = hashCombine(H, M.hash());
-  }
-  return H;
+  uint64_t H = Msgs.size();
+  for (const PsMessage &M : Msgs)
+    H = hashCombine(H, M.hash());
+  return hashRange(H, Views);
 }
 
 std::string PsMemory::str() const {
   std::string Out;
-  for (const std::vector<PsMessage> &Ms : PerLoc)
-    for (const PsMessage &M : Ms)
-      Out += M.str() + " ";
+  for (const PsMessage &M : Msgs) {
+    Out += "<x" + std::to_string(M.Loc) + "@(" + std::to_string(M.From) +
+           "," + std::to_string(M.To) + "]";
+    if (M.Valueless) {
+      Out += " na> ";
+      continue;
+    }
+    Out += ", " + M.V.str() + ", ";
+    Out += M.HasView ? viewStr(view(M), NumLocs) : "bot";
+    Out += "> ";
+  }
   return Out;
 }

@@ -14,35 +14,14 @@ using namespace pseq;
 PsMessage PsMessage::init(unsigned Loc) {
   PsMessage M;
   M.Loc = Loc;
-  M.From = Rational(0);
-  M.To = Rational(0);
   M.V = Value::of(0);
-  M.MView = std::nullopt;
   return M;
 }
 
-bool PsMessage::operator==(const PsMessage &O) const {
-  return Loc == O.Loc && From == O.From && To == O.To &&
-         Valueless == O.Valueless && V == O.V && MView == O.MView;
-}
-
 uint64_t PsMessage::hash() const {
-  uint64_t H = hashCombine(Loc, From.hash());
-  H = hashCombine(H, To.hash());
-  H = hashCombine(H, Valueless ? 1 : 0);
-  H = hashCombine(H, V.hash());
-  H = hashCombine(H, MView.has_value() ? MView->hash() : 0xb07ULL);
-  return H;
+  uint64_t H = hashCombine(Loc, (uint64_t(From) << 32) | To);
+  H = hashCombine(H, (Valueless ? 1 : 0) | (HasView ? 2 : 0));
+  return hashCombine(H, V.hash());
 }
 
-std::string PsMessage::str() const {
-  std::string Out = "<x" + std::to_string(Loc) + "@(" + From.str() + "," +
-                    To.str() + "]";
-  if (Valueless)
-    return Out + " na>";
-  Out += ", " + V.str() + ", ";
-  Out += MView.has_value() ? MView->str() : "bot";
-  return Out + ">";
-}
-
-uint64_t MsgId::hash() const { return hashCombine(Loc, To.hash()); }
+uint64_t MsgId::hash() const { return hashCombine(Loc, To); }

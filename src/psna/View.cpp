@@ -9,68 +9,38 @@
 
 #include "support/Hashing.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace pseq;
 
+void pseq::rankOverflow() {
+  std::fprintf(stderr, "pseq: timestamp rank overflow\n");
+  std::abort();
+}
+
 View View::zero(unsigned NumLocs) {
   View V;
-  V.T.assign(NumLocs, Rational(0));
+  V.T.assign(NumLocs, 0);
   return V;
 }
 
-View View::single(unsigned NumLocs, unsigned Loc, Rational Time) {
-  View V = zero(NumLocs);
-  V.set(Loc, Time);
-  return V;
-}
-
-Rational View::get(unsigned Loc) const {
-  assert(Loc < T.size() && "location out of view range");
-  return T[Loc];
-}
-
-void View::set(unsigned Loc, Rational Time) {
-  assert(Loc < T.size() && "location out of view range");
-  T[Loc] = Time;
-}
-
-View View::joined(const View &O) const {
-  assert(T.size() == O.T.size() && "joining views of different widths");
-  View Out = *this;
+void View::join(const Time *O) {
   for (size_t I = 0, E = T.size(); I != E; ++I)
-    if (Out.T[I] < O.T[I])
-      Out.T[I] = O.T[I];
-  return Out;
+    if (T[I] < O[I])
+      T[I] = O[I];
 }
 
-bool View::leq(const View &O) const {
-  assert(T.size() == O.T.size() && "comparing views of different widths");
-  for (size_t I = 0, E = T.size(); I != E; ++I)
-    if (O.T[I] < T[I])
-      return false;
-  return true;
-}
+uint64_t View::hash() const { return hashRange(0, T); }
 
-uint64_t View::hash() const {
-  uint64_t H = T.size();
-  for (const Rational &R : T)
-    H = hashCombine(H, R.hash());
-  return H;
-}
+std::string View::str() const { return viewStr(T.data(), numLocs()); }
 
-std::string View::str() const {
+std::string pseq::viewStr(const Time *V, unsigned NumLocs) {
   std::string Out = "[";
-  for (size_t I = 0, E = T.size(); I != E; ++I) {
+  for (unsigned I = 0; I != NumLocs; ++I) {
     if (I)
       Out += ",";
-    Out += T[I].str();
+    Out += std::to_string(V[I]);
   }
   return Out + "]";
-}
-
-View pseq::joinMsgView(const View &V, const MsgView &MV) {
-  if (!MV.has_value())
-    return V;
-  return V.joined(*MV);
 }

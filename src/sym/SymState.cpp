@@ -397,7 +397,7 @@ bool pseq::sym::assumeBranch(SymProdState &St, const Expr *E,
   if (L.MayUB || Rr.MayUB)
     return true; // a faulting operand muddies the classes; skip refinement
 
-  // Normalize so the symbolic operand is on the left.
+  // Canonicalize so the symbolic operand is on the left.
   SymVal Sym;
   int64_t K;
   bool Swapped;

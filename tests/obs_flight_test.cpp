@@ -15,6 +15,7 @@
 #include "obs/Heartbeat.h"
 #include "obs/Histogram.h"
 #include "obs/JsonValue.h"
+#include "obs/Report.h"
 #include "obs/Span.h"
 #include "obs/Telemetry.h"
 #include "obs/TraceExport.h"
@@ -321,6 +322,42 @@ TEST(TraceExportTest, WritesLoadableFile) {
   checkChromeTraceSchema(slurp(Path), 1);
   std::remove(Path.c_str());
   EXPECT_FALSE(writeChromeTrace(R, "/nonexistent-dir/x/trace.json", "t"));
+}
+
+TEST(TraceExportTest, FullLaneReportsDroppedSpans) {
+  // A full lane drops later spans; the report (table and JSON) and the
+  // trace export must all say how many, so neither looks complete.
+  SpanRecorder R;
+  for (size_t I = 0; I != SpanRecorder::MaxSpansPerLane + 10; ++I)
+    ScopedSpan S(&R, "work");
+  EXPECT_EQ(R.totalSpans(), SpanRecorder::MaxSpansPerLane);
+  EXPECT_EQ(R.droppedSpans(), 10u);
+
+  Telemetry T;
+  T.Spans = &R;
+  JsonValue Report;
+  ASSERT_TRUE(JsonValue::parse(renderReportJson(T), Report));
+  const JsonValue *Spans = Report.field("spans");
+  ASSERT_NE(Spans, nullptr);
+  EXPECT_EQ(Spans->field("dropped")->asNumber(), 10);
+  EXPECT_EQ(Spans->field("recorded")->asNumber(),
+            double(SpanRecorder::MaxSpansPerLane));
+  std::string Table = renderReportTable(T);
+  size_t At = Table.find("dropped");
+  ASSERT_NE(At, std::string::npos) << Table;
+  std::string Line = Table.substr(At, Table.find('\n', At) - At);
+  EXPECT_EQ(Line.substr(Line.rfind(' ') + 1), "10") << Line;
+
+  JsonValue Trace;
+  ASSERT_TRUE(JsonValue::parse(renderChromeTrace(R, "obs_flight_test"),
+                               Trace));
+  const JsonValue *Meta = nullptr;
+  for (const JsonValue &E : Trace.field("traceEvents")->array())
+    if (E.field("name")->asString() == "spans_dropped")
+      Meta = &E;
+  ASSERT_NE(Meta, nullptr) << "no spans_dropped metadata record";
+  EXPECT_EQ(Meta->field("ph")->asString(), "M");
+  EXPECT_EQ(Meta->field("args")->field("dropped")->asNumber(), 10);
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,11 +12,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "litmus/Corpus.h"
+#include "litmus/RealWorld.h"
+#include "memo/MemoContext.h"
+#include "obs/Telemetry.h"
 #include "psna/Explorer.h"
 
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <map>
 
 using namespace pseq;
 
@@ -34,6 +40,90 @@ void expectIncluded(const PsBehaviorSet &Tgt, const PsBehaviorSet &Src,
   for (const PsBehavior &TB : Tgt.All)
     EXPECT_TRUE(Src.covers(TB))
         << What << ": behavior " << TB.str() << " not covered";
+}
+
+/// One pinned exploration: the counts the explorer's state identity
+/// decides, plus the sorted behavior strings.
+struct Pin {
+  const char *Case;
+  bool Memo;
+  unsigned States;
+  uint64_t NaMarkers, CertSearches, CertNodes, DedupHits;
+  const char *Behaviors;
+};
+
+/// The full classic litmus corpus and the RealWorld corpus, memo off and
+/// on. A missing or stale row makes the test print the observed row in
+/// this syntax.
+const Pin Pins[] = {
+#include "psna_state_pins.inc"
+};
+
+std::string renderPin(const std::string &Case, bool Memo, unsigned States,
+                      uint64_t NaMarkers, uint64_t CertSearches,
+                      uint64_t CertNodes, uint64_t DedupHits,
+                      const std::string &Behaviors) {
+  char Counts[160];
+  std::snprintf(Counts, sizeof(Counts),
+                ", %d, %u, %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                ", ",
+                Memo ? 1 : 0, States, NaMarkers, CertSearches, CertNodes,
+                DedupHits);
+  return "{\"" + Case + "\"" + Counts + "\"" + Behaviors + "\"},";
+}
+
+struct PinCase {
+  std::string Name;
+  std::string Text;
+  PsConfig Cfg;
+};
+
+std::vector<PinCase> pinCases() {
+  std::vector<PinCase> Out;
+  for (const LitmusCase &LC : litmusCorpus()) {
+    PsConfig Cfg;
+    Cfg.Domain = LC.Domain;
+    Cfg.PromiseBudget = LC.PromiseBudget;
+    Cfg.SplitBudget = LC.SplitBudget;
+    Out.push_back({LC.Name, LC.Text, Cfg});
+  }
+  for (const RealWorldCase &RC : realWorldCorpus())
+    Out.push_back({RC.Name, RC.Text, realWorldPsConfig(RC)});
+  return Out;
+}
+
+/// Explores \p C cold (a fresh memo context when \p Memo) and renders the
+/// outcome as a pin row.
+std::string observePin(const PinCase &C, unsigned Workers, bool Memo) {
+  auto P = prog(C.Text);
+  obs::Telemetry Telem;
+  memo::MemoContext MC;
+  PsConfig Cfg = C.Cfg;
+  Cfg.NumThreads = Workers;
+  Cfg.Telem = &Telem;
+  Cfg.Memo = Memo ? &MC : nullptr;
+  PsBehaviorSet B = explorePsna(*P, Cfg);
+  std::string Behaviors;
+  for (const std::string &S : B.strs())
+    Behaviors += (Behaviors.empty() ? "" : " ") + S;
+  return renderPin(C.Name, Memo, B.StatesExplored, B.NaMarkers,
+                   Telem.Counters.counter("psna.cert.searches"),
+                   Telem.Counters.counter("psna.cert.nodes"),
+                   Telem.Counters.counter("psna.explore.dedup_hits"),
+                   Behaviors);
+}
+
+const std::string *expectedPin(const std::string &Case, bool Memo) {
+  static const std::map<std::pair<std::string, bool>, std::string> Rows = [] {
+    std::map<std::pair<std::string, bool>, std::string> Out;
+    for (const Pin &P : Pins)
+      Out[{P.Case, P.Memo}] =
+          renderPin(P.Case, P.Memo, P.States, P.NaMarkers, P.CertSearches,
+                    P.CertNodes, P.DedupHits, P.Behaviors);
+    return Out;
+  }();
+  auto It = Rows.find({Case, Memo});
+  return It == Rows.end() ? nullptr : &It->second;
 }
 
 } // namespace
@@ -177,23 +267,25 @@ TEST(DrfTest, CasLockProtectsNaData) {
 // Differential properties of the explorer itself.
 //===----------------------------------------------------------------------===
 
-TEST(PsExplorerPropertyTest, NormalizationPreservesBehaviorSets) {
-  // Timestamp ranking is a pure state-identification device: switching it
-  // off must never change the observable outcome set, only the cost.
-  for (const LitmusCase &LC : litmusCorpus()) {
-    if (LC.Name.rfind("appB", 0) == 0 || LC.Name.rfind("appC", 0) == 0)
-      continue; // heavyweight; covered by the bench ablation
-    auto P1 = prog(LC.Text);
-    auto P2 = prog(LC.Text);
-    PsConfig On, Off;
-    On.Domain = Off.Domain = LC.Domain;
-    On.PromiseBudget = Off.PromiseBudget = LC.PromiseBudget;
-    On.SplitBudget = Off.SplitBudget = LC.SplitBudget;
-    Off.Normalize = false;
-    PsBehaviorSet A = explorePsna(*P1, On);
-    PsBehaviorSet B = explorePsna(*P2, Off);
-    EXPECT_EQ(A.strs(), B.strs()) << LC.Name;
-  }
+TEST(PsExplorerPropertyTest, StateIdentityIsPinned) {
+  // Timestamp representation is a pure state-identification device: any
+  // change to it must leave every exploration bit-identical. The pinned
+  // rows were generated before timestamps became integer ranks; each is
+  // checked at 1, 2 and 8 workers, memo off and on.
+  std::vector<PinCase> Cases = pinCases();
+  for (unsigned Workers : {1u, 2u, 8u})
+    for (bool Memo : {false, true})
+      for (const PinCase &C : Cases) {
+        std::string Got = observePin(C, Workers, Memo);
+        const std::string *Want = expectedPin(C.Name, Memo);
+        if (!Want) {
+          ADD_FAILURE() << "no pin for " << C.Name << "; observed:\n"
+                        << Got;
+          continue;
+        }
+        EXPECT_EQ(*Want, Got) << C.Name << " at " << Workers
+                              << " workers, memo " << Memo;
+      }
 }
 
 TEST(PsExplorerPropertyTest, BehaviorInclusionIsReflexive) {

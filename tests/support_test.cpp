@@ -7,7 +7,6 @@
 
 #include "support/CliArgs.h"
 #include "support/LocSet.h"
-#include "support/Rational.h"
 #include "support/Rng.h"
 #include "support/Symbol.h"
 #include "support/ValueDomain.h"
@@ -18,95 +17,6 @@
 #include <set>
 
 using namespace pseq;
-
-//===----------------------------------------------------------------------===
-// Rational
-//===----------------------------------------------------------------------===
-
-TEST(RationalTest, NormalizesToLowestTerms) {
-  Rational R(6, 4);
-  EXPECT_EQ(R.num(), 3);
-  EXPECT_EQ(R.den(), 2);
-}
-
-TEST(RationalTest, NormalizesSign) {
-  Rational R(3, -6);
-  EXPECT_EQ(R.num(), -1);
-  EXPECT_EQ(R.den(), 2);
-}
-
-TEST(RationalTest, ZeroHasCanonicalForm) {
-  Rational R(0, 7);
-  EXPECT_EQ(R.num(), 0);
-  EXPECT_EQ(R.den(), 1);
-  EXPECT_TRUE(R.isZero());
-}
-
-TEST(RationalTest, Arithmetic) {
-  Rational Half(1, 2), Third(1, 3);
-  EXPECT_EQ(Half + Third, Rational(5, 6));
-  EXPECT_EQ(Half - Third, Rational(1, 6));
-  EXPECT_EQ(Half * Third, Rational(1, 6));
-  EXPECT_EQ(Half / Third, Rational(3, 2));
-}
-
-TEST(RationalTest, Ordering) {
-  EXPECT_LT(Rational(1, 3), Rational(1, 2));
-  EXPECT_LT(Rational(-1), Rational(0));
-  EXPECT_LE(Rational(2), Rational(2));
-  EXPECT_GT(Rational(7, 3), Rational(2));
-}
-
-TEST(RationalTest, MidpointIsStrictlyBetween) {
-  Rational A(1), B(2);
-  Rational M = A.midpoint(B);
-  EXPECT_LT(A, M);
-  EXPECT_LT(M, B);
-  // Midpoints can be iterated forever (density of Q).
-  Rational M2 = A.midpoint(M);
-  EXPECT_LT(A, M2);
-  EXPECT_LT(M2, M);
-}
-
-TEST(RationalTest, SuccessorIsGreater) {
-  EXPECT_LT(Rational(5, 3), Rational(5, 3).successor());
-}
-
-TEST(RationalTest, EqualValuesHashEqually) {
-  EXPECT_EQ(Rational(2, 4).hash(), Rational(1, 2).hash());
-}
-
-TEST(RationalTest, Str) {
-  EXPECT_EQ(Rational(3).str(), "3");
-  EXPECT_EQ(Rational(1, 2).str(), "1/2");
-}
-
-TEST(RationalTest, ComparisonNearInt64Max) {
-  // Cross-multiplication must not wrap: 7 * INT64_MAX and 8 * INT64_MAX
-  // both exceed int64, but the 128-bit intermediates order correctly.
-  EXPECT_LT(Rational(7, INT64_MAX), Rational(8, INT64_MAX));
-  EXPECT_LT(Rational(1, INT64_MAX), Rational(1, INT64_MAX - 1));
-  EXPECT_LT(Rational(INT64_MAX - 1), Rational(INT64_MAX));
-  EXPECT_FALSE(Rational(INT64_MAX) < Rational(INT64_MAX - 1));
-}
-
-TEST(RationalTest, ArithmeticNearInt64Max) {
-  // Intermediates overflow int64 but the reduced results fit exactly.
-  EXPECT_EQ(Rational(INT64_MAX - 1, 2) + Rational(1, 2),
-            Rational(INT64_MAX, 2));
-  EXPECT_EQ(Rational(INT64_MAX) - Rational(INT64_MAX - 1), Rational(1));
-  EXPECT_EQ(Rational(int64_t(1) << 62, 3) * Rational(9, int64_t(1) << 62),
-            Rational(3));
-  EXPECT_EQ(Rational(INT64_MAX) / Rational(INT64_MAX), Rational(1));
-  EXPECT_LT(Rational(INT64_MAX - 1), Rational(INT64_MAX - 1).successor());
-}
-
-TEST(RationalDeathTest, UnrepresentableResultIsHardError) {
-  // A result that cannot be reduced into int64 must abort — timestamp
-  // arithmetic silently wrapping would reorder messages.
-  EXPECT_DEATH(Rational(INT64_MAX) + Rational(1), "rational overflow");
-  EXPECT_DEATH(Rational(INT64_MAX) * Rational(2), "rational overflow");
-}
 
 //===----------------------------------------------------------------------===
 // LocSet
