@@ -348,8 +348,8 @@ inline int benchMain(int Argc, char **Argv) {
   if (WantTelemetry) {
     Sink = obs::traceSinkFromFlagOrEnv(TracePath);
     Telem.Sink = Sink.get();
-    if (!TraceOutPath.empty())
-      Telem.Spans = &Spans;
+    // Always attached: the report's phase table is folded from the spans.
+    Telem.Spans = &Spans;
     detail::telemetrySlot() = &Telem;
   }
   if (!HeartbeatPath.empty()) {

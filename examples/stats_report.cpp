@@ -184,6 +184,9 @@ int main(int Argc, char **Argv) {
   obs::Telemetry Telem;
   std::unique_ptr<obs::TraceSink> EnvSink = obs::traceSinkFromEnv();
   Telem.Sink = EnvSink.get();
+  // The report's phase table is folded from these spans.
+  obs::SpanRecorder Spans;
+  Telem.Spans = &Spans;
 
   // 1. Validated pipeline over the refinement corpus sources (they carry
   //    the SLF/LLF/DSE-shaped redundancy the passes fire on).

@@ -10,7 +10,7 @@
 // verdict per job, and optionally writes a BENCH_SERVER.json-shaped
 // summary (jobs/sec, cross-request cache hit rate) for the CI gate.
 //
-//   validate_client --socket /tmp/pseq.sock --corpus --repeat 2 \
+//   validate_client --socket /tmp/pseq.sock --corpus --repeat 2
 //     --expect-complete --bench-out out.json
 //   validate_client --socket /tmp/pseq.sock --ping
 //   validate_client --socket /tmp/pseq.sock --stats

@@ -13,7 +13,7 @@
 // graceful code (75) — so supervisors can tell an orderly stop from a
 // crash.
 //
-//   validate_server --socket /tmp/pseq.sock --workers 4 \
+//   validate_server --socket /tmp/pseq.sock --workers 4
 //     --snapshot /var/tmp/pseq.snap [--chaos] [--trace out.jsonl]
 //
 //===----------------------------------------------------------------------===//

@@ -31,6 +31,8 @@ struct ContextRecord {
 /// worker-private) telemetry.
 ContextRecord checkContext(const ContextSpec &Ctx, const Program &Src,
                            const Program &Tgt, const PsConfig &UseCfg) {
+  obs::ScopedSpan Span(UseCfg.Telem ? UseCfg.Telem->Spans : nullptr,
+                       "adequacy.context");
   ContextRecord Rec;
   std::unique_ptr<Program> SrcC = cloneProgram(Src);
   std::unique_ptr<Program> TgtC = cloneProgram(Tgt);
@@ -59,9 +61,7 @@ ContextRecord checkContext(const ContextSpec &Ctx, const Program &Src,
   Rec.V.Bounded = R.Bounded;
   Rec.V.Cause = R.Cause;
   Rec.V.Counterexample = R.Counterexample;
-  Rec.V.ElapsedMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
+  Rec.V.ElapsedMs = obs::msSince(Start);
   return Rec;
 }
 
@@ -76,12 +76,15 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
   // Either config may carry the telemetry handle; the SEQ checkers and the
   // PS^na explorer each read their own.
   obs::Telemetry *Telem = PsCfg.Telem ? PsCfg.Telem : SeqCfg.Telem;
-  obs::TimerTree *Timers = Telem ? &Telem->Timers : nullptr;
-  obs::ScopedTimer PairTimer(Timers, "adequacy");
+  obs::SpanRecorder *Spans = Telem ? Telem->Spans : nullptr;
+  obs::ScopedSpan PairSpan(Spans, "adequacy.pair");
+  const std::chrono::steady_clock::time_point Start =
+      Telem ? std::chrono::steady_clock::now()
+            : std::chrono::steady_clock::time_point();
 
   RefinementResult Simple, Advanced;
   {
-    obs::ScopedTimer SeqTimer(Timers, "seq");
+    obs::ScopedSpan SeqSpan(Spans, "adequacy.seq");
     Simple = checkSimpleRefinement(Src, Tgt, SeqCfg);
     Advanced = checkAdvancedRefinement(Src, Tgt, SeqCfg);
   }
@@ -112,10 +115,8 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
         PsCfg.Guard ? &PsCfg.Guard->stopFlag() : nullptr);
     WTelems.fold();
   } else {
-    for (size_t I = 0; I != Lib.size(); ++I) {
-      obs::ScopedTimer CtxTimer(Timers, Lib[I].Name);
+    for (size_t I = 0; I != Lib.size(); ++I)
       CtxRecords[I] = checkContext(Lib[I], Src, Tgt, PsCfg);
-    }
   }
 
   for (ContextRecord &CR : CtxRecords) {
@@ -167,7 +168,7 @@ AdequacyRecord pseq::runAdequacy(const std::string &Name, const Program &Src,
                     {"psna_all", Rec.PsnaAllContexts},
                     {"bounded", Rec.AnyBounded},
                     {"cause", truncationCauseName(Rec.FirstCause)},
-                    {"ms", PairTimer.stop()}});
+                    {"ms", obs::msSince(Start)}});
   }
   return Rec;
 }
@@ -179,7 +180,8 @@ AdequacyRecord pseq::runAdequacy(const RefinementCase &RC,
   SeqConfig SeqCfg;
   SeqCfg.Domain = RC.Domain;
   SeqCfg.StepBudget = RC.StepBudget;
-  SeqCfg.Guard = PsCfg.Guard; // one guard governs both sides of the pair
-  SeqCfg.Memo = PsCfg.Memo;   // and one memo context caches both sides
+  SeqCfg.Guard = PsCfg.Guard; // one guard governs both sides of the pair,
+  SeqCfg.Memo = PsCfg.Memo;   // one memo context caches both sides,
+  SeqCfg.Telem = PsCfg.Telem; // and one telemetry observes both sides
   return runAdequacy(RC.Name, *Src, *Tgt, SeqCfg, PsCfg, RC.HasLoops);
 }

@@ -18,7 +18,7 @@ void Heartbeat::addProbe(std::string Name, std::function<double()> Fn) {
 bool Heartbeat::start(const std::string &Path, uint64_t Interval) {
   if (running())
     return false;
-  Out = std::make_unique<JsonlTraceSink>(Path);
+  Out = std::make_unique<TraceSink>(Path);
   if (!Out->ok()) {
     Out.reset();
     return false;

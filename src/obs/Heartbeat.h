@@ -72,7 +72,7 @@ private:
   void tick();
 
   std::vector<std::pair<std::string, std::function<double()>>> Probes;
-  std::unique_ptr<JsonlTraceSink> Out; ///< written by the sampler thread
+  std::unique_ptr<TraceSink> Out; ///< written by the sampler thread
   std::thread Worker;
   std::mutex Mu;
   std::condition_variable Cv;

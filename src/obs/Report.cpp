@@ -9,7 +9,10 @@
 
 #include "support/AtomicFile.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <string_view>
 
 using namespace pseq::obs;
 
@@ -21,7 +24,68 @@ std::string fixed(double V, int Prec = 2) {
   return Buf;
 }
 
+/// A node of the name-path trie the lanes fold into (node 0 is the root).
+struct PhaseNode {
+  std::string_view Name;
+  double Ms = 0;
+  uint64_t Count = 0;
+  uint64_t FirstBeginNs = std::numeric_limits<uint64_t>::max();
+  std::vector<size_t> Kids;
+};
+
+void foldSpan(const SpanForest &F, size_t I, size_t Parent,
+              std::vector<PhaseNode> &Trie) {
+  const SpanRecord &S = *F.Nodes[I].Rec;
+  const std::vector<size_t> &Siblings = Trie[Parent].Kids;
+  auto It = std::find_if(Siblings.begin(), Siblings.end(),
+                         [&](size_t K) { return Trie[K].Name == S.Name; });
+  size_t Slot = It != Siblings.end() ? *It : Trie.size();
+  if (Slot == Trie.size()) {
+    Trie[Parent].Kids.push_back(Slot);
+    Trie.emplace_back().Name = S.Name;
+  }
+  PhaseNode &N = Trie[Slot];
+  N.Ms += static_cast<double>(S.EndNs - S.BeginNs) / 1e6;
+  ++N.Count;
+  N.FirstBeginNs = std::min(N.FirstBeginNs, S.BeginNs);
+  for (size_t K : F.Nodes[I].Kids)
+    foldSpan(F, K, Slot, Trie);
+}
+
+void flattenPhases(const std::vector<PhaseNode> &Trie, size_t I,
+                   const std::string &Prefix, unsigned Depth,
+                   std::vector<PhaseRow> &Out) {
+  std::vector<size_t> Kids = Trie[I].Kids;
+  std::stable_sort(Kids.begin(), Kids.end(), [&](size_t A, size_t B) {
+    return Trie[A].FirstBeginNs < Trie[B].FirstBeginNs;
+  });
+  for (size_t K : Kids) {
+    std::string Path = Prefix.empty()
+                           ? std::string(Trie[K].Name)
+                           : Prefix + '/' + std::string(Trie[K].Name);
+    Out.push_back({Path, Trie[K].Ms, Trie[K].Count, Depth});
+    flattenPhases(Trie, K, Path, Depth + 1, Out);
+  }
+}
+
+/// The phase rows of \p T; none without a span recorder.
+std::vector<PhaseRow> phaseRows(const Telemetry &T) {
+  return T.Spans ? foldSpanPhases(*T.Spans) : std::vector<PhaseRow>();
+}
+
 } // namespace
+
+std::vector<PhaseRow> pseq::obs::foldSpanPhases(const SpanRecorder &R) {
+  std::vector<PhaseNode> Trie(1);
+  for (unsigned L = 0, N = R.lanes(); L != N; ++L) {
+    SpanForest F = buildSpanForest(R.lane(L));
+    for (size_t I : F.Roots)
+      foldSpan(F, I, 0, Trie);
+  }
+  std::vector<PhaseRow> Rows;
+  flattenPhases(Trie, 0, "", 0, Rows);
+  return Rows;
+}
 
 std::string pseq::obs::renderReportTable(const Telemetry &T) {
   std::string Out;
@@ -62,9 +126,10 @@ std::string pseq::obs::renderReportTable(const Telemetry &T) {
       Out += Line;
     }
   }
-  if (!T.Timers.empty()) {
+  std::vector<PhaseRow> Phases = phaseRows(T);
+  if (!Phases.empty()) {
     Out += "timers\n";
-    for (const TimerTree::Row &R : T.Timers.rows()) {
+    for (const PhaseRow &R : Phases) {
       std::string Name(2 + 2 * static_cast<size_t>(R.Depth), ' ');
       size_t Slash = R.Path.rfind('/');
       Name += Slash == std::string::npos ? R.Path : R.Path.substr(Slash + 1);
@@ -86,7 +151,7 @@ std::string pseq::obs::renderReportTable(const Telemetry &T) {
                   static_cast<unsigned long long>(T.Spans->droppedSpans()));
     Out += Line;
   }
-  if (T.Counters.empty() && T.Timers.empty() && !T.Spans)
+  if (T.Counters.empty() && !T.Spans)
     Out += "(no telemetry recorded)\n";
   Out += "================================================================="
          "=====\n";
@@ -151,7 +216,7 @@ std::string pseq::obs::renderReportJson(const Telemetry &T) {
   }
   Out += "},\"timers\":[";
   First = true;
-  for (const TimerTree::Row &R : T.Timers.rows()) {
+  for (const PhaseRow &R : phaseRows(T)) {
     if (!First)
       Out += ',';
     First = false;

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Renders a Telemetry bundle as a human-readable summary table or as one
-/// machine-readable JSON object. Both renderings are deterministic:
-/// counters and gauges iterate in sorted key order, timer phases in
-/// execution order.
+/// machine-readable JSON object. Counters and gauges iterate in sorted
+/// key order. The phase table ("timers") is folded from the attached span
+/// recorder (foldSpanPhases); without a recorder it is empty.
 ///
 /// JSON shape:
 ///   {"counters":{"k":v,...},"gauges":{"k":v,...},
@@ -18,7 +18,8 @@
 ///    "timers":[{"path":"a/b","ms":t,"count":n},...],
 ///    "spans":{"recorded":n,"dropped":n}}
 /// The "spans" member (and the table's spans section) is present when a
-/// span recorder is attached; "dropped" counts spans lost to full lanes.
+/// span recorder is attached; "dropped" counts spans lost to full lanes,
+/// which the phase rows then miss.
 /// Histogram buckets are sparse [bucket index, count] pairs; percentiles
 /// are derived from the buckets, so two runs with equal buckets render
 /// byte-identical histogram objects.
@@ -30,12 +31,29 @@
 
 #include "obs/Telemetry.h"
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace pseq::obs {
 
+/// One phase-table row: every span whose name path (ancestor names joined
+/// with '/') is Path, summed over all lanes.
+struct PhaseRow {
+  std::string Path;
+  double Ms = 0;      ///< inclusive wall time across all entries
+  uint64_t Count = 0; ///< number of spans on this path
+  unsigned Depth = 0; ///< number of '/' in Path
+};
+
+/// Folds \p R into phase rows: each lane's span forest is rebuilt, spans
+/// with equal name paths merge across lanes, and rows come out pre-order
+/// (parent before children) with siblings ordered by earliest begin. Read
+/// only after the recording threads joined.
+std::vector<PhaseRow> foldSpanPhases(const SpanRecorder &R);
+
 /// Human-readable summary: counters, gauges, histogram percentile rows
-/// (p50/p90/p99/max and count), and the indented timer tree.
+/// (p50/p90/p99/max and count), and the indented phase table.
 std::string renderReportTable(const Telemetry &T);
 
 /// One histogram as a JSON object (the "histograms" member value above).

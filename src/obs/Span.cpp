@@ -66,3 +66,25 @@ unsigned SpanRecorder::lanes() const {
   unsigned N = NextLane.load(std::memory_order_relaxed);
   return N > MaxLanes ? MaxLanes : N;
 }
+
+SpanForest pseq::obs::buildSpanForest(const std::vector<SpanRecord> &Lane) {
+  // When a span at depth d completes, every still-unattached subtree at
+  // depth d+1 is one of its children.
+  SpanForest F;
+  F.Nodes.reserve(Lane.size());
+  std::vector<std::vector<size_t>> Pending; // unattached roots per depth
+  for (const SpanRecord &S : Lane) {
+    SpanForest::Node N{&S, {}};
+    if (S.Depth + 1 < Pending.size()) {
+      N.Kids = std::move(Pending[S.Depth + 1]);
+      Pending[S.Depth + 1].clear();
+    }
+    if (Pending.size() <= S.Depth)
+      Pending.resize(S.Depth + 1);
+    F.Nodes.push_back(std::move(N));
+    Pending[S.Depth].push_back(F.Nodes.size() - 1);
+  }
+  for (const std::vector<size_t> &Roots : Pending)
+    F.Roots.insert(F.Roots.end(), Roots.begin(), Roots.end());
+  return F;
+}

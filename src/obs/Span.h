@@ -24,6 +24,10 @@
 /// pointer, never a copy, which keeps the record path allocation-free once
 /// a lane's vector has warmed up.
 ///
+/// Spans are the one timing facility: the report's phase table is folded
+/// from them (obs/Report.h), and buildSpanForest is the one place that
+/// turns a lane back into nested spans.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PSEQ_OBS_SPAN_H
@@ -43,6 +47,15 @@ struct SpanRecord {
   uint64_t EndNs;    ///< ns since the recorder's epoch
   uint32_t Depth;    ///< nesting depth inside the lane at begin time
 };
+
+/// Milliseconds since \p Start on the steady clock. A result field or a
+/// JSONL "ms" field takes its duration from one such clock pair; the span
+/// beside it feeds the phase table and the trace export.
+inline double msSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - Start)
+      .count();
+}
 
 /// Per-thread span lanes plus the shared epoch. Null-recorder use is the
 /// off switch: ScopedSpan with a null recorder is a single branch.
@@ -105,6 +118,25 @@ private:
   std::atomic<uint64_t> Recorded{0};
   std::atomic<uint64_t> Dropped{0};
 };
+
+/// One lane's span forest. A lane records spans at *end* time, so its
+/// record stream is a postorder traversal of the forest; together with the
+/// recorded nesting depths this rebuilds the forest exactly (no
+/// timestamp-tie heuristics).
+struct SpanForest {
+  struct Node {
+    const SpanRecord *Rec;
+    std::vector<size_t> Kids; ///< in begin order
+  };
+  std::vector<Node> Nodes;
+  /// Depth-0 spans in begin order, then spans whose parent never closed
+  /// (deeper leftovers), so nothing recorded is lost.
+  std::vector<size_t> Roots;
+};
+
+/// Rebuilds the forest of \p Lane (a SpanRecorder::lane()). The records
+/// must outlive the result.
+SpanForest buildSpanForest(const std::vector<SpanRecord> &Lane);
 
 /// RAII span: begin at construction, end + record at destruction. A null
 /// recorder makes both ends a single branch.

@@ -7,10 +7,11 @@
 ///
 /// \file
 /// The handle the configs (SeqConfig, PsConfig, PipelineOptions) carry: a
-/// counter/gauge registry, a timer tree, and an optional trace sink. All
-/// engines treat a null Telemetry pointer as "telemetry off" and skip every
-/// observation behind a single branch, so the default-constructed configs
-/// cost nothing.
+/// counter/gauge registry, an optional span recorder (the one timing
+/// facility; the report's phase table is folded from it), and an optional
+/// JSONL trace sink. All engines treat a null Telemetry pointer as
+/// "telemetry off" and skip every observation behind a single branch, so
+/// the default-constructed configs cost nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,6 @@
 
 #include "obs/Counters.h"
 #include "obs/Span.h"
-#include "obs/Timer.h"
 #include "obs/TraceSink.h"
 
 #include <memory>
@@ -31,7 +31,6 @@ namespace pseq::obs {
 /// One run's worth of telemetry. Non-copyable; share by pointer.
 struct Telemetry {
   Stats Counters;
-  TimerTree Timers;
   /// Borrowed, not owned; null means "no tracing". Prefer tracing() +
   /// trace() over touching this directly.
   TraceSink *Sink = nullptr;
@@ -74,8 +73,8 @@ private:
 /// concurrent writers) that shares the parent's span recorder (its lanes
 /// are per-thread, so sharing is free); fold() adds the registries back
 /// into the parent after the join. Without a parent every worker handle is
-/// null. The timer tree and the trace sink stay with the parent: they are
-/// ordered, orchestrator-only artifacts, not tallies.
+/// null. The trace sink stays with the parent: its events are ordered,
+/// orchestrator-only records, not tallies.
 class WorkerTelemetry {
 public:
   WorkerTelemetry(Telemetry *Parent, unsigned NumWorkers) : Parent(Parent) {

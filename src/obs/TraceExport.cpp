@@ -56,19 +56,13 @@ void appendMeta(std::string &Out, bool &First, const char *Kind,
   Out += "\"}}";
 }
 
-/// A reconstructed span-tree node: the record plus child indices.
-struct Node {
-  const SpanRecord *Rec;
-  std::vector<size_t> Kids;
-};
-
 void emitNode(std::string &Out, bool &First, unsigned Tid,
-              const std::vector<Node> &Nodes, size_t I) {
-  appendEvent(Out, First, "B", Nodes[I].Rec->Name, Nodes[I].Rec->BeginNs,
-              Tid);
-  for (size_t K : Nodes[I].Kids)
-    emitNode(Out, First, Tid, Nodes, K);
-  appendEvent(Out, First, "E", Nodes[I].Rec->Name, Nodes[I].Rec->EndNs, Tid);
+              const SpanForest &F, size_t I) {
+  const SpanRecord &R = *F.Nodes[I].Rec;
+  appendEvent(Out, First, "B", R.Name, R.BeginNs, Tid);
+  for (size_t K : F.Nodes[I].Kids)
+    emitNode(Out, First, Tid, F, K);
+  appendEvent(Out, First, "E", R.Name, R.EndNs, Tid);
 }
 
 } // namespace
@@ -86,33 +80,10 @@ std::string pseq::obs::renderChromeTrace(const SpanRecorder &R,
     appendMeta(Out, First, "thread_name", L,
                L == 0 ? "orchestrator" : "lane-" + std::to_string(L));
 
-    // A lane records spans at *end* time, so the record stream is a
-    // postorder traversal of the lane's span forest; together with the
-    // recorded nesting depths this rebuilds the forest exactly (no
-    // timestamp-tie heuristics): when a span at depth d completes, every
-    // still-unattached subtree at depth d+1 is one of its children.
-    std::vector<Node> Nodes;
-    Nodes.reserve(Recs.size());
-    std::vector<std::vector<size_t>> Pending; // unattached roots per depth
-    for (const SpanRecord &S : Recs) {
-      Node N2;
-      N2.Rec = &S;
-      if (S.Depth + 1 < Pending.size()) {
-        N2.Kids = std::move(Pending[S.Depth + 1]);
-        Pending[S.Depth + 1].clear();
-      }
-      if (Pending.size() <= S.Depth)
-        Pending.resize(S.Depth + 1);
-      Nodes.push_back(std::move(N2));
-      Pending[S.Depth].push_back(Nodes.size() - 1);
-    }
-
     // Emit preorder: B, children, E — balanced per tid by construction.
-    // Leftovers at depth > 0 (spans whose parent never closed) become
-    // roots so nothing recorded is lost.
-    for (const std::vector<size_t> &Roots : Pending)
-      for (size_t I : Roots)
-        emitNode(Out, First, L, Nodes, I);
+    SpanForest F = buildSpanForest(Recs);
+    for (size_t I : F.Roots)
+      emitNode(Out, First, L, F, I);
   }
 
   // Spans lost to full lanes: a trace missing its tail says so.

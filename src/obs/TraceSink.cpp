@@ -84,17 +84,12 @@ void TraceValue::append(std::string &Out) const {
   }
 }
 
-TraceSink &pseq::obs::nullTraceSink() {
-  static NullTraceSink Sink;
-  return Sink;
-}
-
-JsonlTraceSink::JsonlTraceSink(const std::string &Path)
+TraceSink::TraceSink(const std::string &Path)
     : Out(Path), Opened(std::chrono::steady_clock::now()) {}
 
-JsonlTraceSink::~JsonlTraceSink() { Out.flush(); }
+TraceSink::~TraceSink() { Out.flush(); }
 
-void JsonlTraceSink::event(std::string_view Kind,
+void TraceSink::event(std::string_view Kind,
                            const std::vector<TraceField> &Fields) {
   if (!Out.is_open())
     return;
@@ -123,7 +118,7 @@ std::unique_ptr<TraceSink> pseq::obs::traceSinkFromEnv() {
   const char *Path = std::getenv("PSEQ_TRACE");
   if (!Path || !*Path)
     return nullptr;
-  auto Sink = std::make_unique<JsonlTraceSink>(Path);
+  auto Sink = std::make_unique<TraceSink>(Path);
   if (!Sink->ok()) {
     std::fprintf(stderr, "pseq: warning: PSEQ_TRACE=%s not writable\n", Path);
     return nullptr;
@@ -141,7 +136,7 @@ pseq::obs::traceSinkFromFlagOrEnv(const std::string &FlagPath) {
                  "pseq: warning: both --trace=%s and PSEQ_TRACE=%s are set; "
                  "the flag wins\n",
                  FlagPath.c_str(), Env);
-  auto Sink = std::make_unique<JsonlTraceSink>(FlagPath);
+  auto Sink = std::make_unique<TraceSink>(FlagPath);
   if (!Sink->ok()) {
     std::fprintf(stderr, "pseq: warning: --trace %s not writable\n",
                  FlagPath.c_str());

@@ -8,8 +8,8 @@
 /// \file
 /// Structured trace events for the explorers, validator and adequacy
 /// harness. Events are flat: a kind plus scalar fields, serialized as one
-/// JSON object per line (JSONL). The default sink is a no-op; a file sink
-/// is selected explicitly or via the `PSEQ_TRACE` environment variable
+/// JSON object per line (JSONL). Tracing is off by default; a sink is
+/// selected explicitly or via the `PSEQ_TRACE` environment variable
 /// (unset/empty = tracing off, otherwise the output path).
 ///
 /// Emitting sites must guard on `enabled()` (or Telemetry::tracing())
@@ -84,43 +84,23 @@ struct TraceField {
   TraceValue Val;
 };
 
-/// Abstract event sink.
+/// Writes one JSON object per event to a file. Tracing off is a null
+/// `TraceSink *` (Telemetry::Sink).
 class TraceSink {
 public:
-  virtual ~TraceSink() = default;
-  /// False for the null sink: callers skip building fields entirely.
-  virtual bool enabled() const = 0;
-  virtual void event(std::string_view Kind,
-                     const std::vector<TraceField> &Fields) = 0;
-  /// Pushes buffered events to stable storage. Called on guard truncation
-  /// and before fork-isolated workers may die, so a crashed or cut-short
-  /// run never leaves a torn JSONL tail. Default: nothing to flush.
-  virtual void flush() {}
-};
-
-/// Swallows everything (the default).
-class NullTraceSink final : public TraceSink {
-public:
-  bool enabled() const override { return false; }
-  void event(std::string_view, const std::vector<TraceField> &) override {}
-};
-
-/// Shared no-op sink instance.
-TraceSink &nullTraceSink();
-
-/// Writes one JSON object per event to a file.
-class JsonlTraceSink final : public TraceSink {
-public:
-  explicit JsonlTraceSink(const std::string &Path);
-  ~JsonlTraceSink() override;
+  explicit TraceSink(const std::string &Path);
+  ~TraceSink();
 
   /// False when the output file could not be opened.
   bool ok() const { return Out.is_open() && Out.good(); }
 
-  bool enabled() const override { return Out.is_open(); }
-  void event(std::string_view Kind,
-             const std::vector<TraceField> &Fields) override;
-  void flush() override { Out.flush(); }
+  /// False when the file never opened: callers skip building fields.
+  bool enabled() const { return Out.is_open(); }
+  void event(std::string_view Kind, const std::vector<TraceField> &Fields);
+  /// Pushes buffered events to stable storage. Called on guard truncation
+  /// and before fork-isolated workers may die, so a crashed or cut-short
+  /// run never leaves a torn JSONL tail.
+  void flush() { Out.flush(); }
 
 private:
   std::ofstream Out;

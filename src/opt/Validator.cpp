@@ -54,9 +54,9 @@ ValidationResult pseq::validateTransform(const Program &Src,
          "whole-program method: use validatePsTransform");
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "validate");
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "opt.validate");
   // ElapsedMs is part of the result (not just telemetry), so it is
-  // measured unconditionally; the phase timer above only feeds the tree.
+  // measured unconditionally; the span only feeds the phase table.
   std::chrono::steady_clock::time_point Start =
       std::chrono::steady_clock::now();
 
@@ -197,10 +197,7 @@ ValidationResult pseq::validateTransform(const Program &Src,
     Out.Counterexample += std::string("[bounded: ") +
                           truncationCauseName(Out.Cause) + " truncation]";
   }
-  Timer.stop();
-  Out.ElapsedMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
+  Out.ElapsedMs = obs::msSince(Start);
 
   if (Telem) {
     obs::ScopedTally Tally(&Telem->Counters);
@@ -232,7 +229,7 @@ ValidationResult pseq::validatePsTransform(const Program &Src,
          "passes must preserve the thread structure");
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "validate");
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "opt.validate");
   std::chrono::steady_clock::time_point Start =
       std::chrono::steady_clock::now();
 
@@ -257,10 +254,7 @@ ValidationResult pseq::validatePsTransform(const Program &Src,
     Out.Counterexample += std::string("[bounded: ") +
                           truncationCauseName(Out.Cause) + " truncation]";
   }
-  Timer.stop();
-  Out.ElapsedMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
+  Out.ElapsedMs = obs::msSince(Start);
 
   if (Telem) {
     obs::ScopedTally Tally(&Telem->Counters);

@@ -312,8 +312,10 @@ PsBehaviorSet explore(const Program &P, const PsConfig &Cfg, unsigned N) {
   std::unordered_set<PsBehavior, BehaviorHash> Behaviors;
   std::deque<WorkItem> Work;
 
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "psna.explore");
   obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "psna.explore");
+  const std::chrono::steady_clock::time_point Start =
+      Telem ? std::chrono::steady_clock::now()
+            : std::chrono::steady_clock::time_point();
   obs::ScopedTally Tally(Telem ? &Telem->Counters : nullptr);
   uint64_t &Runs = Tally.slot("psna.explore.runs");
   uint64_t &Expanded = Tally.slot("psna.explore.states_expanded");
@@ -487,7 +489,7 @@ PsBehaviorSet explore(const Program &P, const PsConfig &Cfg, unsigned N) {
                     {"behaviors", uint64_t(Result.All.size())},
                     {"dedup_hits", DedupHits},
                     {"cause", truncationCauseName(Result.Cause)},
-                    {"ms", Timer.stop()}});
+                    {"ms", obs::msSince(Start)}});
     if (isGuardCause(Result.Cause))
       Telem->finalSnapshot(truncationCauseName(Result.Cause));
   }

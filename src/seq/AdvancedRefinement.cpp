@@ -166,7 +166,10 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
   Cfg = resolveUniverse(Cfg, SrcP, SrcTid, TgtP, TgtTid);
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "seq.advanced");
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "seq.check.advanced");
+  const std::chrono::steady_clock::time_point Start =
+      Telem ? std::chrono::steady_clock::now()
+            : std::chrono::steady_clock::time_point();
 
   SeqMachine SrcM(SrcP, SrcTid, Cfg);
   SeqMachine TgtM(TgtP, TgtTid, Cfg);
@@ -210,7 +213,7 @@ RefinementResult pseq::checkAdvancedRefinement(const Program &SrcP,
           return;
         }
       });
-  observeRefinementCheck(Telem, "seq.check.advanced", Result, Timer.stop());
+  observeRefinementCheck(Telem, "seq.check.advanced", Result, Start);
   return Result;
 }
 

@@ -14,8 +14,9 @@
 
 using namespace pseq;
 
-void pseq::observeRefinementCheck(obs::Telemetry *Telem, const char *Kind,
-                                  const RefinementResult &R, double Ms) {
+void pseq::observeRefinementCheck(
+    obs::Telemetry *Telem, const char *Kind, const RefinementResult &R,
+    std::chrono::steady_clock::time_point Start) {
   if (!Telem)
     return;
   std::string Prefix = std::string(Kind);
@@ -31,7 +32,7 @@ void pseq::observeRefinementCheck(obs::Telemetry *Telem, const char *Kind,
                         {"initial_states", uint64_t(R.InitialStates)},
                         {"src_behaviors", R.SrcBehaviors},
                         {"tgt_behaviors", R.TgtBehaviors},
-                        {"ms", Ms}});
+                        {"ms", obs::msSince(Start)}});
 }
 
 SeqConfig pseq::resolveUniverse(SeqConfig Cfg, const Program &SrcP,
@@ -54,7 +55,10 @@ RefinementResult pseq::checkSimpleRefinement(const Program &SrcP,
   Cfg = resolveUniverse(Cfg, SrcP, SrcTid, TgtP, TgtTid);
 
   obs::Telemetry *Telem = Cfg.Telem;
-  obs::ScopedTimer Timer(Telem ? &Telem->Timers : nullptr, "seq.simple");
+  obs::ScopedSpan Span(Telem ? Telem->Spans : nullptr, "seq.check.simple");
+  const std::chrono::steady_clock::time_point Start =
+      Telem ? std::chrono::steady_clock::now()
+            : std::chrono::steady_clock::time_point();
 
   SeqMachine SrcM(SrcP, SrcTid, Cfg);
   SeqMachine TgtM(TgtP, TgtTid, Cfg);
@@ -93,7 +97,7 @@ RefinementResult pseq::checkSimpleRefinement(const Program &SrcP,
           return;
         }
       });
-  observeRefinementCheck(Telem, "seq.check.simple", Result, Timer.stop());
+  observeRefinementCheck(Telem, "seq.check.simple", Result, Start);
   return Result;
 }
 

@@ -23,6 +23,7 @@
 
 #include "seq/BehaviorEnum.h"
 
+#include <chrono>
 #include <string>
 
 namespace pseq {
@@ -51,10 +52,11 @@ SeqConfig resolveUniverse(SeqConfig Cfg, const Program &SrcP, unsigned SrcTid,
                           const Program &TgtP, unsigned TgtTid);
 
 /// Telemetry epilogue shared by the refinement checkers: bumps
-/// `<Kind>.{calls,fails,bounded}` and emits one trace event per call.
-/// No-op when \p Telem is null.
+/// `<Kind>.{calls,fails,bounded}` and emits one trace event per call, timed
+/// from \p Start. No-op when \p Telem is null.
 void observeRefinementCheck(obs::Telemetry *Telem, const char *Kind,
-                            const RefinementResult &R, double Ms);
+                            const RefinementResult &R,
+                            std::chrono::steady_clock::time_point Start);
 
 /// Decides σ_tgt ⊑ σ_src (Def 2.4) for thread \p TgtTid of \p TgtP against
 /// thread \p SrcTid of \p SrcP. The programs must share a memory layout.

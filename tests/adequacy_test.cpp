@@ -14,10 +14,13 @@
 #include "adequacy/Harness.h"
 #include "adequacy/RandomProgram.h"
 #include "lang/Parser.h"
+#include "obs/Report.h"
 
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace pseq;
 
@@ -239,4 +242,47 @@ TEST(AdequacyRandomSweepTest, RandomContextsCannotSeparateValidatedPairs) {
                           << PR.Counterexample;
   }
   EXPECT_GE(Composed, 8u) << "sweep must compose enough validated pairs";
+}
+
+namespace {
+
+/// Per-name span counts from the folded phase table: each row's count goes
+/// to the last component of its path, so a span contributes once whatever
+/// lane (and so whatever path prefix) it was recorded under.
+std::map<std::string, uint64_t> phaseCountsByName(const RefinementCase &RC,
+                                                  unsigned NumThreads) {
+  obs::SpanRecorder Spans;
+  obs::Telemetry Telem;
+  Telem.Spans = &Spans;
+  PsConfig Cfg = psCfg();
+  Cfg.NumThreads = NumThreads;
+  Cfg.Telem = &Telem;
+  runAdequacy(RC, Cfg);
+  std::map<std::string, uint64_t> Counts;
+  for (const obs::PhaseRow &R : obs::foldSpanPhases(Spans))
+    Counts[R.Path.substr(R.Path.rfind('/') + 1)] += R.Count;
+  return Counts;
+}
+
+} // namespace
+
+TEST(AdequacyPhaseTest, PhaseTableCountsDoNotDependOnWorkerCount) {
+  // Worker-side spans (each context's exploration) land in the pool
+  // workers' lanes; the fold must still count every one of them.
+  const RefinementCase *Case = nullptr;
+  for (const RefinementCase &RC : refinementCorpus())
+    if (!RC.HasLoops && RC.AdvancedHolds) {
+      Case = &RC;
+      break;
+    }
+  ASSERT_NE(Case, nullptr);
+  std::map<std::string, uint64_t> One = phaseCountsByName(*Case, 1);
+  std::map<std::string, uint64_t> Two = phaseCountsByName(*Case, 2);
+  for (const char *Name : {"psna.explore", "adequacy.context",
+                           "seq.check.simple", "seq.check.advanced"}) {
+    EXPECT_GT(One[Name], 0u) << Name;
+    EXPECT_EQ(One[Name], Two[Name]) << Name;
+  }
+  EXPECT_EQ(One["adequacy.pair"], 1u);
+  EXPECT_EQ(Two["adequacy.pair"], 1u);
 }

@@ -202,8 +202,9 @@ TEST(RaceLint, SoundnessDifferentialOnRandomPrograms) {
         EXPECT_EQ(Off.RaceSteps, 0u) << Text;
         EXPECT_TRUE(On.MarkersSkipped) << Text;
       }
-      if (!On.truncated() && !Off.truncated())
+      if (!On.truncated() && !Off.truncated()) {
         EXPECT_EQ(On.strs(), Off.strs()) << Text;
+      }
     }
   }
   // The generator must actually exercise both sides of the verdict:

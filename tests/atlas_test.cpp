@@ -125,13 +125,16 @@ TEST(AtlasDecide, TalliesAreConsistent) {
   EXPECT_EQ(R.BoundedEntries, 0u) << "atlas budgets must decide exhaustively";
   for (const AtlasEntry &E : R.Entries) {
     // ⊑ ⊆ ⊑w (Prop: simple refinement implies advanced).
-    if (E.SeqSimple)
+    if (E.SeqSimple) {
       EXPECT_TRUE(E.SeqAdvanced) << E.Id;
+    }
     // Unsound means a context witnessed a difference, so PS^na failed.
-    if (E.Verdict == AtlasVerdict::Unsound)
+    if (E.Verdict == AtlasVerdict::Unsound) {
       EXPECT_FALSE(E.Psna) << E.Id;
-    if (E.Verdict == AtlasVerdict::SeqIncomplete)
+    }
+    if (E.Verdict == AtlasVerdict::SeqIncomplete) {
       EXPECT_TRUE(E.Psna && !E.SeqAdvanced) << E.Id;
+    }
   }
 }
 

@@ -325,8 +325,9 @@ TEST(MemoDiff, SeqTripCauseAgreesUnderPollGuard) {
         MOn, MOn.initial(LocSet::empty(), LocSet::empty(), Mem));
 
     EXPECT_EQ(BOff.Cause, BOn.Cause) << "polls=" << Polls;
-    if (Polls >= (1ull << 20)) // generous budget: nothing tripped
+    if (Polls >= (1ull << 20)) { // generous budget: nothing tripped
       EXPECT_EQ(render(BOff), render(BOn));
+    }
   }
 }
 

@@ -435,7 +435,7 @@ TEST(TelemetryTest, FinalSnapshotEmitsRunFinal) {
   SpanRecorder Spans;
   { ScopedSpan S(&Spans, "x"); }
   {
-    JsonlTraceSink Sink(Path);
+    TraceSink Sink(Path);
     ASSERT_TRUE(Sink.ok());
     Telemetry Telem;
     Telem.Sink = &Sink;

@@ -4,7 +4,7 @@
 // Compilers under Weak Memory Concurrency" (PLDI 2022).
 //
 // Covers the obs layer in isolation: counter/gauge registries and merge
-// semantics, ScopedTally flushing, the hierarchical timer tree, JSONL
+// semantics, ScopedTally flushing, the phase table folded from spans, JSONL
 // escaping and the PSEQ_TRACE sink contract, and report determinism.
 //
 //===----------------------------------------------------------------------===//
@@ -14,7 +14,6 @@
 #include "obs/Counters.h"
 #include "obs/Report.h"
 #include "obs/Telemetry.h"
-#include "obs/Timer.h"
 #include "obs/TraceSink.h"
 #include "seq/BehaviorEnum.h"
 #include "seq/SimpleRefinement.h"
@@ -29,6 +28,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <unistd.h>
 
@@ -144,62 +144,67 @@ TEST(Counters, ScopedTallySkipsZeroSlots) {
 }
 
 //===----------------------------------------------------------------------===//
-// Timers
+// Phase table (folded from spans)
 //===----------------------------------------------------------------------===//
 
-TEST(Timers, NestedPhasesBuildPaths) {
-  TimerTree T;
-  T.enter("pipeline");
-  T.enter("slf");
-  T.exit(1.5);
-  T.enter("validate");
-  T.exit(2.0);
-  T.exit(4.0);
-  std::vector<TimerTree::Row> Rows = T.rows();
+TEST(Phases, NestedSpansBuildPaths) {
+  SpanRecorder R;
+  {
+    ScopedSpan Pipeline(&R, "pipeline");
+    { ScopedSpan Slf(&R, "slf"); }
+    { ScopedSpan Validate(&R, "validate"); }
+  }
+  std::vector<PhaseRow> Rows = foldSpanPhases(R);
   ASSERT_EQ(Rows.size(), 3u);
   EXPECT_EQ(Rows[0].Path, "pipeline");
   EXPECT_EQ(Rows[0].Depth, 0u);
-  EXPECT_DOUBLE_EQ(Rows[0].Ms, 4.0);
   EXPECT_EQ(Rows[1].Path, "pipeline/slf");
   EXPECT_EQ(Rows[1].Depth, 1u);
   EXPECT_EQ(Rows[2].Path, "pipeline/validate");
-  EXPECT_DOUBLE_EQ(Rows[2].Ms, 2.0);
+  // Inclusive time: a parent covers its children.
+  EXPECT_GE(Rows[0].Ms, Rows[1].Ms + Rows[2].Ms);
 }
 
-TEST(Timers, ReenteringAPhaseAccumulates) {
-  TimerTree T;
-  for (int I = 0; I != 3; ++I) {
-    T.enter("phase");
-    T.exit(1.0);
-  }
-  std::vector<TimerTree::Row> Rows = T.rows();
+TEST(Phases, ReenteringAPhaseAccumulates) {
+  SpanRecorder R;
+  for (int I = 0; I != 3; ++I)
+    ScopedSpan S(&R, "phase");
+  std::vector<PhaseRow> Rows = foldSpanPhases(R);
   ASSERT_EQ(Rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(Rows[0].Ms, 3.0);
+  EXPECT_EQ(Rows[0].Path, "phase");
   EXPECT_EQ(Rows[0].Count, 3u);
+  EXPECT_GE(Rows[0].Ms, 0.0);
 }
 
-TEST(Timers, ScopedTimerRecordsOnce) {
-  TimerTree T;
+TEST(Phases, SiblingsOrderByEarliestBeginAcrossLanes) {
+  // "late" runs second on the main lane, but a second lane enters it
+  // first; equal paths merge across lanes and order by earliest begin.
+  SpanRecorder R;
+  R.laneForThisThread(); // this thread's lane folds first
+  std::thread([&] {
+    ScopedSpan Late(&R, "late");
+    ScopedSpan Inner(&R, "inner");
+  }).join();
+  { ScopedSpan Early(&R, "early"); }
   {
-    ScopedTimer Outer(&T, "outer");
-    ScopedTimer Inner(&T, "inner");
-    double Ms = Inner.stop();
-    EXPECT_GE(Ms, 0.0);
-    // Second stop is idempotent: nothing further is recorded and the
-    // outer phase is not closed.
-    EXPECT_DOUBLE_EQ(Inner.stop(), 0.0);
+    ScopedSpan Late(&R, "late");
+    ScopedSpan Inner(&R, "inner");
   }
-  std::vector<TimerTree::Row> Rows = T.rows();
-  ASSERT_EQ(Rows.size(), 2u);
-  EXPECT_EQ(Rows[0].Path, "outer");
-  EXPECT_EQ(Rows[1].Path, "outer/inner");
-  EXPECT_EQ(Rows[0].Count, 1u);
-  EXPECT_EQ(Rows[1].Count, 1u);
+  std::vector<PhaseRow> Rows = foldSpanPhases(R);
+  ASSERT_EQ(Rows.size(), 3u);
+  EXPECT_EQ(Rows[0].Path, "late");
+  EXPECT_EQ(Rows[0].Count, 2u);
+  EXPECT_EQ(Rows[1].Path, "late/inner");
+  EXPECT_EQ(Rows[1].Count, 2u);
+  EXPECT_EQ(Rows[2].Path, "early");
 }
 
-TEST(Timers, NullTreeScopedTimerIsNoop) {
-  ScopedTimer Timer(nullptr, "nothing");
-  EXPECT_DOUBLE_EQ(Timer.stop(), 0.0);
+TEST(Phases, NullRecorderGivesNoRows) {
+  { ScopedSpan S(nullptr, "nothing"); }
+  Telemetry T; // no recorder attached
+  std::string Json = renderReportJson(T);
+  EXPECT_NE(Json.find("\"timers\":[]"), std::string::npos) << Json;
+  EXPECT_EQ(renderReportTable(T).find("timers"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -225,7 +230,7 @@ TEST(Json, NumbersAreFiniteOrNull) {
 TEST(TraceSink, JsonlLinesAreWellFormed) {
   std::string Path = tempPath("pseq_obs_trace");
   {
-    JsonlTraceSink Sink(Path);
+    TraceSink Sink(Path);
     ASSERT_TRUE(Sink.ok());
     Sink.event("alpha", {{"n", TraceValue(uint64_t(7))},
                          {"neg", TraceValue(int64_t(-3))},
@@ -261,7 +266,7 @@ TEST(TraceSink, JsonlLinesAreWellFormed) {
 TEST(TraceSink, TelemetryTraceRoutesThroughSink) {
   std::string Path = tempPath("pseq_obs_telem_trace");
   {
-    JsonlTraceSink Sink(Path);
+    TraceSink Sink(Path);
     Telemetry T;
     EXPECT_FALSE(T.tracing());
     T.trace("dropped", {}); // no sink attached: silently ignored
@@ -301,24 +306,35 @@ TEST(TraceSink, EnvContract) {
 
 namespace {
 
-void populate(Telemetry &T) {
+void populate(Telemetry &T, SpanRecorder &R) {
   T.Counters.add("z.last", 1);
   T.Counters.add("a.first", 2);
   T.Counters.setGauge("m.gauge", 4.5);
-  T.Timers.enter("outer");
-  T.Timers.enter("inner");
-  T.Timers.exit(1.0);
-  T.Timers.exit(2.0);
+  T.Spans = &R;
+  ScopedSpan Outer(&R, "outer");
+  ScopedSpan Inner(&R, "inner");
+}
+
+/// The report with every "ms" value blanked: paths and counts must match
+/// across runs, wall times need not.
+std::string withoutMs(std::string Json) {
+  for (size_t At = Json.find("\"ms\":"); At != std::string::npos;
+       At = Json.find("\"ms\":", At + 5)) {
+    size_t End = Json.find_first_of(",}", At);
+    Json.replace(At + 5, End - (At + 5), "_");
+  }
+  return Json;
 }
 
 } // namespace
 
 TEST(Report, JsonIsDeterministicAcrossIdenticalRuns) {
   Telemetry A, B;
-  populate(A);
-  populate(B);
+  SpanRecorder RA, RB;
+  populate(A, RA);
+  populate(B, RB);
   std::string JA = renderReportJson(A);
-  EXPECT_EQ(JA, renderReportJson(B));
+  EXPECT_EQ(withoutMs(JA), withoutMs(renderReportJson(B)));
   // Counter keys render in sorted order regardless of insertion order.
   size_t First = JA.find("a.first");
   size_t Last = JA.find("z.last");
@@ -329,11 +345,16 @@ TEST(Report, JsonIsDeterministicAcrossIdenticalRuns) {
   EXPECT_NE(JA.find("\"gauges\":{"), std::string::npos);
   EXPECT_NE(JA.find("\"timers\":["), std::string::npos);
   EXPECT_NE(JA.find("\"path\":\"outer/inner\""), std::string::npos);
+  EXPECT_NE(withoutMs(JA).find(
+                "{\"path\":\"outer/inner\",\"ms\":_,\"count\":1}"),
+            std::string::npos)
+      << JA;
 }
 
 TEST(Report, TableListsEverySection) {
   Telemetry T;
-  populate(T);
+  SpanRecorder R;
+  populate(T, R);
   std::string Table = renderReportTable(T);
   EXPECT_NE(Table.find("counters"), std::string::npos);
   EXPECT_NE(Table.find("gauges"), std::string::npos);
@@ -348,7 +369,8 @@ TEST(Report, TableListsEverySection) {
 
 TEST(Report, WriteJsonRoundTripsThroughParser) {
   Telemetry T;
-  populate(T);
+  SpanRecorder R;
+  populate(T, R);
   std::string Path = tempPath("pseq_obs_report");
   ASSERT_TRUE(writeReportJson(T, Path));
   if (std::system("command -v python3 >/dev/null 2>&1") == 0) {

@@ -221,3 +221,22 @@ TEST(PipelineTest, OptimizesAllThreadsIndependently) {
   EXPECT_EQ(Printed.find(":= x@na"), std::string::npos) << Printed;
   EXPECT_EQ(Printed.find(":= y@na"), std::string::npos) << Printed;
 }
+
+TEST(PipelineTest, TimingsAreMeasuredWithoutTelemetry) {
+  // OptMs/ValidateMs/TotalMs are result fields, not telemetry: a run with
+  // no Telemetry attached must still report them.
+  auto P = prog("na x;\n"
+                "thread { x@na := 42; a := x@na; b := x@na; return a + b; }");
+  PipelineOptions Opts;
+  Opts.NumThreads = 1;
+  Opts.Cfg.Domain = ValueDomain({0, 42});
+  ASSERT_EQ(Opts.Telem, nullptr);
+  ASSERT_EQ(Opts.Cfg.Telem, nullptr);
+  PipelineResult R = runPipeline(*P, Opts);
+  ASSERT_GE(R.TotalRewrites, 1u);
+  double Passes = 0;
+  for (const PassReport &Rep : R.Reports)
+    Passes += Rep.OptMs + Rep.ValidateMs;
+  EXPECT_GT(R.TotalMs, 0.0);
+  EXPECT_GE(R.TotalMs, Passes);
+}

@@ -316,10 +316,11 @@ TEST(RealWorldPipeline, ValidatesAndPreservesAnnotations) {
       EXPECT_FALSE(After.containsStr(S))
           << RC.Name << ": optimization introduced forbidden behavior "
           << S;
-    if (!RC.IsMutant)
+    if (!RC.IsMutant) {
       for (const std::string &S : RC.MustInclude)
         EXPECT_TRUE(After.containsStr(S))
             << RC.Name << ": optimization lost required behavior " << S;
+    }
   }
   // Non-vacuity: the corpus must make at least one pass actually fire
   // (today: DSE on rw-spsc-ring-rlx-publish, weaken on the reclamation

@@ -13,6 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "adequacy/Harness.h"
 #include "atlas/Atlas.h"
 #include "lang/Parser.h"
 #include "litmus/Corpus.h"
@@ -126,6 +127,17 @@ std::set<std::string> runtimeKeys() {
     runPipeline(*Racy, Opts);
   }
 
+  // The adequacy harness (adequacy.* tallies and spans), serial and
+  // pooled: adequacy.context fires on whichever worker runs the context.
+  for (unsigned NumThreads : {1u, 2u}) {
+    PsConfig Cfg;
+    Cfg.Domain = ValueDomain::binary();
+    Cfg.PromiseBudget = 0;
+    Cfg.NumThreads = NumThreads;
+    Cfg.Telem = &Telem;
+    runAdequacy(refinementCorpus().front(), Cfg);
+  }
+
   // The atlas fold (atlas.* tallies, atlas.build span). Tiny budgets: the
   // verdicts are all bounded garbage, but every key still fires, and the
   // sweep stays fast.
@@ -230,6 +242,7 @@ TEST(TelemetryDictTest, DictionaryParses) {
   EXPECT_TRUE(Dict.count("opt.validate.method.psna"));
   EXPECT_TRUE(Dict.count("atlas.mismatch"));
   EXPECT_TRUE(Dict.count("atlas.build"));
+  EXPECT_TRUE(Dict.count("adequacy.context"));
 }
 
 TEST(TelemetryDictTest, EveryRuntimeKeyIsDocumented) {
